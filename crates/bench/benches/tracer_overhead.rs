@@ -265,16 +265,12 @@ obs::impl_to_json!(Report {
 
 /// Change log carried with the numbers, so before/after comparisons for
 /// layout changes survive in the committed JSON.
-const NOTES: &str = "SpanRing is #[repr(align(64))] and the sharded engine's \
-cross-thread hot words (published window minima, barrier counters) are \
-CachePadded, so adjacent nodes' ring heads/cursor caches and adjacent \
-shards' minima no longer share cache lines. Before alignment (previous \
-committed run, same machine): fig06_echo enabled +8.8%, tail_sampled \
-+12.2%; fig16_dag enabled +10.8%, tail_sampled +16.6%. The modes in this \
-file are the after. \
-Single-threaded runs see alignment only through cache-set pressure (noise \
-on a shared 1-core box dwarfs it); the padding targets cross-core false \
-sharing once rings are written while sharded workers run.";
+const NOTES: &str = "SpanRing is #[repr(align(64))], so adjacent nodes' \
+ring heads/cursor caches no longer share cache lines. Before alignment \
+(previous committed run, same machine): fig06_echo enabled +8.8%, \
+tail_sampled +12.2%; fig16_dag enabled +10.8%, tail_sampled +16.6%. The \
+modes in this file are the after. Single-threaded runs see alignment only \
+through cache-set pressure (noise on a shared 1-core box dwarfs it).";
 
 fn main() {
     let filter = std::env::args().skip(1).find(|a| !a.starts_with("--"));

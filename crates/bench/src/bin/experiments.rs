@@ -1,35 +1,6 @@
 //! Regenerates the paper's tables and figures.
 //!
-//! ```text
-//! experiments [name ...]      # fig06 fig09 fig11 fig12 fig13 fig14
-//!                             # fig15 fig16 table2 fig17, or "all"
-//! experiments --quick [name]  # shorter runs for smoke testing
-//! experiments --jobs N        # fan figures and sweep points out over N
-//!                             # threads (N=0 or omitted: available cores);
-//!                             # output is byte-identical to --jobs 1
-//! experiments --shards N      # worker threads for the sharded event core
-//!                             # ("parallel" experiment; N=0: available
-//!                             # cores); output is byte-identical for any N
-//! experiments --trace-out t.json --metrics-out m.json
-//!                             # instrumented Online Boutique run: Perfetto
-//!                             # trace + metrics snapshot (no figures unless
-//!                             # names are also given)
-//! experiments --tail-sample --trace-out t.json
-//!                             # same run with the trace pipeline enabled:
-//!                             # keep only the slowest/error traces, print
-//!                             # the per-tenant critical-path table, export
-//!                             # kept traces (with cross-node flow arrows)
-//! experiments --flight-out f.json
-//!                             # dump the flight-recorder bundle (recent
-//!                             # trace ring + SLO counters + metric deltas)
-//!                             # at end of run
-//! experiments report          # fleet observability report (windowed
-//!                             # rollups, exemplars, burn rates, SoC
-//!                             # profile) -> results/report.json;
-//!                             # REPORT_SEED overrides the root seed
-//! experiments --report-out r.json
-//!                             # same report, written to a custom path
-//! ```
+#![doc = concat!("```text\n", include_str!("experiments_usage.txt"), "```")]
 //!
 //! Each experiment prints its table(s) and writes a JSON twin under
 //! `results/`. With `--jobs N` each requested figure runs on its own
@@ -46,6 +17,9 @@ use nadino::experiment::{
 };
 use obs::ToJson;
 
+/// The command-line usage, shared with the module doc above.
+const USAGE: &str = include_str!("experiments_usage.txt");
+
 #[derive(Clone, Copy)]
 struct Budget {
     /// Virtual milliseconds per steady-state cell.
@@ -56,7 +30,8 @@ struct Budget {
     scale: f64,
     /// Virtual seconds for the autoscaling ramp.
     ramp_secs: u64,
-    /// Whether this is the `--quick` budget (shrinks the parallel bench).
+    /// Whether this is the `--quick` budget (shrinks the churn, upgrade
+    /// and report runs).
     quick: bool,
 }
 
@@ -93,9 +68,6 @@ struct Output {
     stem: &'static str,
     text: String,
     json: String,
-    /// Set by the `parallel` experiment so the shard-health gauges can
-    /// join the `--metrics-out` snapshot.
-    shard_report: Option<nadino::shard_cluster::ParallelReport>,
 }
 
 fn out<T: ToJson>(stem: &'static str, text: String, value: &T) -> Output {
@@ -103,14 +75,12 @@ fn out<T: ToJson>(stem: &'static str, text: String, value: &T) -> Output {
         stem,
         text,
         json: value.to_json().to_string_pretty(),
-        shard_report: None,
     }
 }
 
 /// Runs one experiment; `jobs` is the sweep-cell fan-out for the figures
-/// that decompose into independent `Sim`s, `shards` the worker count for
-/// the sharded event core.
-fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
+/// that decompose into independent `Sim`s.
+fn run_one(name: &str, b: &Budget, jobs: usize) -> Output {
     match name {
         "fig06" => {
             let fig = fig06::run_jobs(b.requests, b.millis, jobs);
@@ -159,12 +129,6 @@ fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
             let fig = summary::run(b.millis, b.requests);
             out("summary", fig.render(), &fig)
         }
-        "parallel" => {
-            let rep = nadino::shard_cluster::bench_report(b.quick, shards);
-            let mut o = out("BENCH_parallel", rep.render(), &rep);
-            o.shard_report = Some(rep);
-            o
-        }
         "churn" => {
             let rep = churn::run_jobs(b.quick, jobs);
             out("BENCH_churn", rep.render(), &rep)
@@ -179,7 +143,6 @@ fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
             // CI obs-report job can diff two invocations byte-for-byte.
             let mut fleet_cfg = nadino::fleet::FleetConfig {
                 seed: nadino::fleet::seed_from_env(42),
-                shards,
                 ..nadino::fleet::FleetConfig::default()
             };
             if b.quick {
@@ -221,7 +184,6 @@ fn instrumented_run(
     metrics_out: Option<&PathBuf>,
     tail_sample: bool,
     flight_out: Option<&PathBuf>,
-    shard_report: Option<&nadino::shard_cluster::ParallelReport>,
 ) {
     use membuf::tenant::TenantId;
     use nadino::boutique;
@@ -319,12 +281,6 @@ fn instrumented_run(
         }
     }
     if let Some(path) = metrics_out {
-        // If a `parallel` experiment ran this invocation, fold its
-        // shard-health gauges into the same snapshot so one metrics file
-        // covers both the boutique run and the sharded core.
-        if let Some(rep) = shard_report {
-            rep.export_metrics(&reg);
-        }
         let snap = reg.snapshot();
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
@@ -339,9 +295,8 @@ fn instrumented_run(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    // 0 means "auto" for both knobs; resolved below via `resolve_jobs`.
+    // 0 means "auto"; resolved below via `resolve_jobs`.
     let mut jobs = 0usize;
-    let mut shards = 0usize;
     let mut trace_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut tail_sample = false;
@@ -356,13 +311,6 @@ fn main() {
                 Some(n) => jobs = n,
                 None => {
                     eprintln!("--jobs needs an integer (0 = available cores)");
-                    std::process::exit(2);
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = n,
-                None => {
-                    eprintln!("--shards needs an integer (0 = available cores)");
                     std::process::exit(2);
                 }
             },
@@ -395,6 +343,14 @@ fn main() {
                     std::process::exit(2);
                 }
             },
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return;
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown option {flag:?}\n\n{USAGE}");
+                std::process::exit(2);
+            }
             _ => names.push(a),
         }
     }
@@ -403,12 +359,11 @@ fn main() {
     } else {
         Budget::full()
     };
-    // `0` means "auto" for both knobs, resolved to available_parallelism()
-    // in one place and announced up front so logs state the actual fan-out.
+    // `0` means "auto", resolved to available_parallelism() in one place
+    // and announced up front so logs state the actual fan-out.
     let jobs = resolve_jobs(jobs);
-    let shards = resolve_jobs(shards);
     eprintln!(
-        ">>> run header: jobs={jobs} shards={shards} budget={}",
+        ">>> run header: jobs={jobs} budget={}",
         if quick { "quick" } else { "full" }
     );
     let instrumented =
@@ -441,16 +396,12 @@ fn main() {
             let name = name.clone();
             move || {
                 eprintln!(">>> running {name}");
-                run_one(&name, &budget, jobs, shards)
+                run_one(&name, &budget, jobs)
             }
         })
         .collect();
-    let mut shard_report = None;
-    for mut output in pmap(tasks, jobs) {
+    for output in pmap(tasks, jobs) {
         emit(&output, report_out.as_ref());
-        if let Some(rep) = output.shard_report.take() {
-            shard_report = Some(rep);
-        }
     }
     if instrumented {
         instrumented_run(
@@ -458,7 +409,6 @@ fn main() {
             metrics_out.as_ref(),
             tail_sample,
             flight_out.as_ref(),
-            shard_report.as_ref(),
         );
     }
 }

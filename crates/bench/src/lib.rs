@@ -14,7 +14,7 @@
 pub mod harness;
 
 /// Known experiment names accepted by the `experiments` binary.
-pub const EXPERIMENTS: [&str; 15] = [
+pub const EXPERIMENTS: [&str; 14] = [
     "fig06",
     "fig09",
     "fig11",
@@ -26,7 +26,6 @@ pub const EXPERIMENTS: [&str; 15] = [
     "fig17",
     "ablations",
     "summary",
-    "parallel",
     "churn",
     "upgrade",
     "report",

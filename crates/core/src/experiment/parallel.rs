@@ -60,9 +60,9 @@ pub fn default_jobs() -> usize {
 
 /// Resolves a user-facing thread-count request: `0` means "auto" —
 /// [`default_jobs`], i.e. `available_parallelism()` — anything else is
-/// taken literally. Every entry point that accepts `--jobs` or
-/// `--shards` routes through this, so `0` means the same thing
-/// everywhere, and callers print the resolved value in their run header.
+/// taken literally. Every entry point that accepts `--jobs` routes
+/// through this, so `0` means the same thing everywhere, and callers
+/// print the resolved value in their run header.
 pub fn resolve_jobs(requested: usize) -> usize {
     if requested == 0 {
         default_jobs()

@@ -247,10 +247,8 @@ struct PackedSpan {
 /// oldest span on this node; eviction is counted, never silent.
 ///
 /// Cache-line aligned: rings live in a `Vec` indexed by node and are
-/// written on every traced event, so without the alignment two nodes'
-/// hot fields (`head`, `cache_req`, `cache_span`) can share a line and
-/// ping-pong it between cores once recording and the sharded engine run
-/// on different threads.
+/// written on every traced event, so the alignment keeps each node's hot
+/// fields (`head`, `cache_req`, `cache_span`) off its neighbours' lines.
 #[repr(align(64))]
 struct SpanRing {
     /// The node every span in this ring belongs to.

@@ -298,14 +298,6 @@ impl Fabric {
         self.inner.borrow().costs.clone()
     }
 
-    /// The conservative lookahead this fabric grants a sharded run: its
-    /// one-way latency floor (see [`RdmaCosts::latency_floor`]). No message
-    /// routed through this fabric can take effect on another node sooner
-    /// than this, which is exactly the window bound `simcore::shard` needs.
-    pub fn shard_lookahead(&self) -> simcore::SimDuration {
-        self.inner.borrow().costs.latency_floor()
-    }
-
     /// Attaches a new node (RNIC) to the fabric.
     pub fn add_node(&self) -> NodeId {
         let mut inner = self.inner.borrow_mut();

@@ -19,7 +19,6 @@ pub mod chain;
 pub mod dag;
 pub mod function;
 pub mod iolib;
-pub mod keepwarm;
 pub mod placement;
 pub mod sidecar;
 
@@ -30,6 +29,5 @@ pub use function::{
     CompletionFn,
 };
 pub use iolib::IoLib;
-pub use keepwarm::{ExpiryReaper, InstanceManager, KeepWarmPolicy};
 pub use placement::Placement;
 pub use sidecar::{AccessDecision, Sidecar};

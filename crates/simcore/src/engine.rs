@@ -201,18 +201,6 @@ impl Sim {
         self.wheel.is_pending(handle)
     }
 
-    /// Returns the instant of the next pending event without executing it,
-    /// or `None` when the queue is empty.
-    ///
-    /// Used by the conservative-window sharded engine ([`crate::shard`])
-    /// to compute each synchronization window's bound. Takes `&mut self`
-    /// because the peek may advance the wheel's internal position (never
-    /// the clock, and never past the next live event), which is invisible
-    /// to callers.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.wheel.next_at(u64::MAX)
-    }
-
     /// Records one `(now, pending_events)` sample.
     ///
     /// Call from a [`Ticker`] for a periodic queue-depth series; read the

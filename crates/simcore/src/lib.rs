@@ -17,10 +17,6 @@
 //!   percentiles, and time-series recorders for the figure reproductions.
 //! - [`ratelimit`]: token bucket used for bandwidth shaping.
 //! - [`queue`]: bounded FIFO with drop accounting.
-//! - [`shard`]: conservative-window parallel execution — one private [`Sim`]
-//!   per shard, SPSC mailboxes, lookahead from the fabric latency floor,
-//!   byte-identical to sequential for any worker count. The sequential
-//!   engine stays the default and the differential oracle.
 
 pub mod baseline;
 pub mod engine;
@@ -29,7 +25,6 @@ pub mod queue;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub(crate) mod wheel;
@@ -37,9 +32,5 @@ pub(crate) mod wheel;
 pub use engine::{Sim, SimProfile, Ticker, TimerHandle};
 pub use resource::{MultiServer, Server};
 pub use rng::SimRng;
-pub use shard::{
-    CachePadded, Envelope, FinishFn, MessageHandler, Outbox, ShardBuildError, ShardEnv, ShardId,
-    ShardProfile, ShardSetup, ShardedRun, ShardedSim, ShardedSimBuilder,
-};
 pub use stats::{Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime};

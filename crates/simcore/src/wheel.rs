@@ -396,11 +396,11 @@ impl TimingWheel {
     ///
     /// Advancing the wheel's *position* is invisible to callers: no event
     /// fires and the engine clock is untouched. Entries inserted behind
-    /// the advanced position later (e.g. conservative-window mailbox
-    /// deliveries) land in `ready` and keep exact `(time, seq)` order.
-    /// The engine's hot loop drives everything through
-    /// [`TimingWheel::pop_due`]; this peek also serves the sharded
-    /// engine's window computation ([`crate::shard`]).
+    /// the advanced position later land in `ready` and keep exact
+    /// `(time, seq)` order. The engine's hot loop drives everything
+    /// through [`TimingWheel::pop_due`]; this peek serves the wheel's
+    /// own tests.
+    #[cfg(test)]
     pub fn next_at(&mut self, limit_tick: u64) -> Option<SimTime> {
         loop {
             while let Some(&(at, _, idx)) = self.ready.last() {
