@@ -2,7 +2,7 @@
 //!
 //! These measure the *implementation* (wall-clock cost of the functional
 //! layer), complementing the virtual-time experiments: buffer pool
-//! get/put, descriptor encode/decode, SPSC ring transfer, DWRR dequeue,
+//! get/put, descriptor encode/decode, DWRR dequeue,
 //! HTTP parsing and the simulation engine's event dispatch rate. The
 //! tracing benches demonstrate the near-zero cost of a disabled
 //! [`obs::Tracer`] relative to an enabled one.
@@ -15,7 +15,6 @@ use ingress::http::HttpRequest;
 use membuf::descriptor::BufferDesc;
 use membuf::pool::{BufferPool, PoolConfig};
 use membuf::tenant::TenantId;
-use membuf::SpscRing;
 use obs::{Stage, Tracer};
 use simcore::{Sim, SimDuration, SimTime};
 
@@ -44,15 +43,6 @@ fn bench_pool(b: &mut Bench) {
     b.bench_function("desc_encode_decode", || {
         let bytes = black_box(d).encode();
         black_box(BufferDesc::decode(&bytes));
-    });
-}
-
-fn bench_spsc(b: &mut Bench) {
-    b.group("spsc");
-    let (tx, rx) = SpscRing::with_capacity::<u64>(1024);
-    b.bench_function("push_pop", || {
-        tx.push(black_box(42)).unwrap();
-        black_box(rx.pop());
     });
 }
 
@@ -128,7 +118,6 @@ fn bench_tracing(b: &mut Bench) {
 fn main() {
     let mut b = Bench::from_args();
     bench_pool(&mut b);
-    bench_spsc(&mut b);
     bench_dwrr(&mut b);
     bench_http(&mut b);
     bench_sim_engine(&mut b);

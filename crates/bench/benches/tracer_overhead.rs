@@ -182,13 +182,8 @@ fn run(workload: Workload, mode: Mode) -> RunOut {
                 );
             }
             let cluster = Rc::new(cluster);
-            let d2 = driver.clone();
             let dag2 = dag.clone();
-            driver.set_issuer(Rc::new(move |sim, req| {
-                if !cluster.inject_dag(sim, &dag2, req) {
-                    d2.shed(req);
-                }
-            }));
+            driver.set_issuer(Rc::new(move |sim, req| cluster.inject_dag(sim, &dag2, req)));
             for _ in 0..CLIENTS {
                 driver.issue_one(&mut sim);
             }

@@ -121,7 +121,6 @@ impl Default for ChurnConfig {
             elastic: ElasticConfig {
                 active_capacity: 128,
                 idle_teardown_age: Some(SimDuration::from_millis(200)),
-                adaptive: None,
             },
             reap_interval: SimDuration::from_millis(10),
             diurnal_amplitude: 0.4,

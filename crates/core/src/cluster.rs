@@ -256,11 +256,6 @@ impl Cluster {
             .expect("tenant provisioned on this node")
     }
 
-    /// Returns the tenant's pool on node `idx` if provisioned.
-    pub fn try_pool(&self, tenant: TenantId, idx: usize) -> Option<&BufferPool> {
-        self.pools.get(&(tenant, idx))
-    }
-
     /// Snapshot of every provisioned `(tenant, node index, pool)` triple.
     pub fn pools_snapshot(&self) -> Vec<(TenantId, usize, BufferPool)> {
         let mut v: Vec<_> = self
@@ -835,8 +830,6 @@ impl Cluster {
                 .set(node.dne.conn_evictions() as f64);
             reg.gauge("qp_teardowns_total", &nl)
                 .set(node.dne.conn_teardowns() as f64);
-            reg.gauge("qp_adaptive_shrinks_total", &nl)
-                .set(node.dne.conn_adaptive_shrinks() as f64);
             reg.gauge("qp_prewarm_hit_rate", &nl).set_ratio(
                 stats.prewarm_claims,
                 stats.prewarm_claims + stats.cold_connects,
@@ -962,6 +955,17 @@ impl Cluster {
             table.push("dne_soc", stage, busy);
         }
         table
+    }
+}
+
+impl Drop for Cluster {
+    /// Each function endpoint closure owns a clone of its node's `IoLib`,
+    /// which (with its DNE) owns the endpoints. Unregistering them breaks
+    /// that cycle, so a dropped cluster frees its nodes and pools.
+    fn drop(&mut self) {
+        for node in &self.nodes {
+            node.iolib.unregister_functions();
+        }
     }
 }
 

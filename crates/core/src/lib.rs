@@ -45,7 +45,6 @@ pub mod fleet;
 pub mod fleetctl;
 pub mod health;
 pub mod report;
-pub mod trace;
 pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig};

@@ -16,8 +16,9 @@ use simcore::{Histogram, Sim, SimDuration, SimTime, TimeSeries};
 
 use crate::cluster::Cluster;
 
-/// The issue hook installed by `start` (or a custom driver).
-type IssueFn = Rc<dyn Fn(&mut Sim, u64)>;
+/// The issue hook installed by `start` (or a custom driver): injects one
+/// request and returns whether it was admitted.
+type IssueFn = Rc<dyn Fn(&mut Sim, u64) -> bool>;
 
 struct Inner {
     next_req: u64,
@@ -89,6 +90,7 @@ impl ClosedLoop {
     }
 
     /// Installs a custom issue hook (`start` installs the standard one).
+    /// A request the hook does not admit counts as shed.
     pub fn set_issuer(&self, f: IssueFn) {
         self.inner.borrow_mut().issue = Some(f);
     }
@@ -105,7 +107,9 @@ impl ClosedLoop {
             inner.pending.insert(req, sim.now());
             (req, issue)
         };
-        issue(sim, req);
+        if !issue(sim, req) {
+            self.shed(req);
+        }
     }
 
     /// Marks a request as shed (admission failure) without latency record.
@@ -129,16 +133,12 @@ impl ClosedLoop {
             let mut inner = self.inner.borrow_mut();
             inner.began = sim.now();
         }
+        // The hook must not hold the driver: the driver owns the hook.
+        let cluster = ClusterRef::new(cluster);
         let chain = chain.clone();
-        let injector = ClusterInjector {
-            cluster: ClusterRef::new(cluster),
-            chain,
-            payload,
-            driver: self.clone(),
-        };
-        let injector = Rc::new(injector);
-        let this = self.clone();
-        this.set_issuer(Rc::new(move |sim, req| injector.inject(sim, req)));
+        self.set_issuer(Rc::new(move |sim, req| {
+            cluster.inject(sim, &chain, req, payload)
+        }));
         for _ in 0..clients {
             self.issue_one(sim);
         }
@@ -180,149 +180,7 @@ impl ClosedLoop {
     }
 }
 
-/// An open-loop Poisson load generator.
-///
-/// Unlike the closed loop, arrivals are time-driven at a configured rate
-/// with exponential inter-arrival gaps (seeded, deterministic), so the
-/// system can genuinely overload: requests keep arriving whether or not
-/// earlier ones completed.
-#[derive(Clone)]
-pub struct OpenLoop {
-    driver: ClosedLoop,
-}
-
-impl OpenLoop {
-    /// Creates a generator that stops issuing at `stop_at`.
-    pub fn new(stop_at: SimTime) -> OpenLoop {
-        OpenLoop {
-            driver: ClosedLoop::new(stop_at),
-        }
-    }
-
-    /// Enables windowed-throughput recording.
-    pub fn with_series(self, window: SimDuration) -> OpenLoop {
-        OpenLoop {
-            driver: self.driver.with_series(window),
-        }
-    }
-
-    /// Returns the completion callback for chain registration.
-    ///
-    /// Open-loop completions record latency but never re-issue.
-    pub fn completion(&self) -> CompletionFn {
-        let inner = self.driver.inner.clone();
-        Rc::new(move |sim: &mut Sim, req_id: u64| {
-            let mut st = inner.borrow_mut();
-            let Some(t0) = st.pending.remove(&req_id) else {
-                return;
-            };
-            st.hist.record(sim.now().saturating_since(t0));
-            st.completed += 1;
-            st.last_done = sim.now();
-            if let Some(series) = st.series.as_mut() {
-                series.record_at(sim.now(), 1.0);
-            }
-        })
-    }
-
-    /// Starts Poisson arrivals at `rate_rps` against `chain` on `cluster`,
-    /// seeded for reproducibility.
-    pub fn start(
-        &self,
-        sim: &mut Sim,
-        cluster: &Cluster,
-        chain: &ChainSpec,
-        rate_rps: f64,
-        payload: usize,
-        seed: u64,
-    ) {
-        assert!(rate_rps > 0.0, "arrival rate must be positive");
-        {
-            let mut inner = self.driver.inner.borrow_mut();
-            inner.began = sim.now();
-        }
-        let injector = Rc::new(ClusterInjector {
-            cluster: ClusterRef::new(cluster),
-            chain: chain.clone(),
-            payload,
-            driver: self.driver.clone(),
-        });
-        let mean_gap_s = 1.0 / rate_rps;
-        let rng = Rc::new(RefCell::new(simcore::SimRng::new(seed)));
-        fn arrive(
-            sim: &mut Sim,
-            injector: Rc<ClusterInjector>,
-            rng: Rc<RefCell<simcore::SimRng>>,
-            mean_gap_s: f64,
-        ) {
-            let (req, stopped) = {
-                let mut inner = injector.driver.inner.borrow_mut();
-                if sim.now() >= inner.stop_at {
-                    (0, true)
-                } else {
-                    let req = inner.next_req;
-                    inner.next_req += 1;
-                    inner.pending.insert(req, sim.now());
-                    (req, false)
-                }
-            };
-            if stopped {
-                return;
-            }
-            injector.inject(sim, req);
-            let gap = rng.borrow_mut().exponential(mean_gap_s);
-            let injector2 = injector.clone();
-            let rng2 = rng.clone();
-            sim.schedule_after(SimDuration::from_secs_f64(gap), move |sim| {
-                arrive(sim, injector2, rng2, mean_gap_s);
-            });
-        }
-        arrive(sim, injector, rng, mean_gap_s);
-    }
-
-    /// Completed request count.
-    pub fn completed(&self) -> u64 {
-        self.driver.completed()
-    }
-
-    /// Requests shed at admission (pool exhaustion under overload).
-    pub fn shed_count(&self) -> u64 {
-        self.driver.shed_count()
-    }
-
-    /// Requests issued (offered load).
-    pub fn offered(&self) -> u64 {
-        self.driver.inner.borrow().next_req
-    }
-
-    /// Latency histogram of completed requests.
-    pub fn latency(&self) -> Histogram {
-        self.driver.latency()
-    }
-
-    /// Windowed throughput series.
-    pub fn series(&self, end: SimTime) -> Vec<(f64, f64)> {
-        self.driver.series(end)
-    }
-}
-
-/// Injection plumbing: keeps only what `inject` needs from the cluster.
-struct ClusterInjector {
-    cluster: ClusterRef,
-    chain: ChainSpec,
-    payload: usize,
-    driver: ClosedLoop,
-}
-
-impl ClusterInjector {
-    fn inject(&self, sim: &mut Sim, req: u64) {
-        if !self.cluster.inject(sim, &self.chain, req, self.payload) {
-            self.driver.shed(req);
-        }
-    }
-}
-
-/// A cheap cloneable view of the cluster pieces the injector touches.
+/// A cheap cloneable view of the cluster pieces the issue hook touches.
 ///
 /// The cluster itself is not `Clone`; we keep the pool handles, placement
 /// and entry I/O library, which are.
@@ -418,51 +276,6 @@ mod tests {
         let series = driver.series(sim.now());
         assert!(series.len() >= 4);
         assert!(series.iter().any(|&(_, r)| r > 0.0));
-    }
-
-    #[test]
-    fn open_loop_matches_offered_rate_when_underloaded() {
-        let mut sim = Sim::new();
-        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-        let tenant = TenantId(1);
-        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-        cluster.place(1, 0);
-        cluster.place(2, 1);
-        let stop = sim.now() + SimDuration::from_millis(200);
-        let gen = OpenLoop::new(stop);
-        cluster.register_chain(&chain, |_| SimDuration::from_micros(5), gen.completion());
-        gen.start(&mut sim, &cluster, &chain, 10_000.0, 128, 42);
-        sim.run();
-        // ~2000 offered at 10K RPS over 200 ms; all complete (underload).
-        let offered = gen.offered();
-        assert!(
-            (1700..=2300).contains(&(offered as i64)),
-            "offered {offered}"
-        );
-        assert_eq!(gen.completed(), offered);
-        assert_eq!(gen.shed_count(), 0);
-        assert!(gen.latency().mean().as_micros_f64() < 200.0);
-    }
-
-    #[test]
-    fn open_loop_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut sim = Sim::new();
-            let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-            let tenant = TenantId(1);
-            cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-            let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-            cluster.place(1, 0);
-            cluster.place(2, 1);
-            let gen = OpenLoop::new(sim.now() + SimDuration::from_millis(50));
-            cluster.register_chain(&chain, |_| SimDuration::ZERO, gen.completion());
-            gen.start(&mut sim, &cluster, &chain, 20_000.0, 64, seed);
-            sim.run();
-            (gen.offered(), gen.latency().mean().as_nanos())
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7).0, run(8).0, "different seeds, different arrivals");
     }
 
     #[test]

@@ -108,8 +108,6 @@ struct TenantState {
     pool: BufferPool,
     rq: RqId,
     weight: u32,
-    tx_count: u64,
-    rx_count: u64,
     failures: TenantFailureStats,
 }
 
@@ -685,8 +683,6 @@ impl Dne {
                 pool,
                 rq,
                 weight,
-                tx_count: 0,
-                rx_count: 0,
                 failures: TenantFailureStats::default(),
             },
         );
@@ -781,6 +777,11 @@ impl Dne {
     /// Registers the delivery endpoint of a local function.
     pub fn register_endpoint(&self, fn_id: u16, endpoint: FnEndpoint) {
         self.inner.borrow_mut().endpoints.insert(fn_id, endpoint);
+    }
+
+    /// Drops every registered delivery endpoint.
+    pub fn clear_endpoints(&self) {
+        self.inner.borrow_mut().endpoints.clear();
     }
 
     /// Establishes `n` pooled RC connections between two engines for a
@@ -1077,9 +1078,6 @@ impl Dne {
                                 OffloadMode::OffPath => None,
                             };
                             inner.stats.tx_posted += 1;
-                            if let Some(st) = inner.tenants.get_mut(&tenant) {
-                                st.tx_count += 1;
-                            }
                             let posted_at = dma_done.unwrap_or_else(|| sim.now());
                             if traced {
                                 let node = inner.node.0 as u32;
@@ -1333,9 +1331,6 @@ impl Dne {
                                 latency += done.saturating_since(sim.now());
                             }
                             inner.stats.rx_delivered += 1;
-                            if let Some(st) = inner.tenants.get_mut(&tenant) {
-                                st.rx_count += 1;
-                            }
                             if traced {
                                 inner.tracer.span(
                                     req_id,
@@ -1442,9 +1437,6 @@ impl Dne {
                     let wr = inner.fresh_wr();
                     let imm = pack_imm(p.tenant, p.dst_fn);
                     inner.stats.tx_posted += 1;
-                    if let Some(st) = inner.tenants.get_mut(&p.tenant) {
-                        st.tx_count += 1;
-                    }
                     let sampled = inner.tracer.is_enabled() && obs::ctx::sampled(p.buf.as_slice());
                     if sampled {
                         let node = inner.node.0 as u32;
@@ -1794,13 +1786,6 @@ impl Dne {
         self.inner.borrow().conns.teardowns()
     }
 
-    /// Returns how many teardown sweeps ran with the adaptively shrunk
-    /// idle age (eviction-rate spikes; `0` unless adaptive teardown is
-    /// enabled in the elastic config).
-    pub fn conn_adaptive_shrinks(&self) -> u64 {
-        self.inner.borrow().conns.adaptive_shrinks()
-    }
-
     /// Stocks `n` pre-warmed connections toward `peer` in the background.
     /// A later pool-dry reconnect claims one in microseconds instead of
     /// paying the full RC establishment delay.
@@ -1855,16 +1840,6 @@ impl Dne {
         let mut ids: Vec<TenantId> = self.inner.borrow().tenants.keys().copied().collect();
         ids.sort();
         ids
-    }
-
-    /// Returns `(tx, rx)` message counters for a tenant.
-    pub fn tenant_counters(&self, tenant: TenantId) -> (u64, u64) {
-        self.inner
-            .borrow()
-            .tenants
-            .get(&tenant)
-            .map(|t| (t.tx_count, t.rx_count))
-            .unwrap_or((0, 0))
     }
 
     /// Returns the tenant's configured weight.

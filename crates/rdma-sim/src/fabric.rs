@@ -94,8 +94,6 @@ pub(crate) struct RqState {
     node: NodeId,
     tenant: TenantId,
     queue: VecDeque<RecvWr>,
-    posted: u64,
-    consumed: u64,
 }
 
 pub(crate) struct CqState {
@@ -376,8 +374,6 @@ impl Fabric {
                 node,
                 tenant,
                 queue: VecDeque::new(),
-                posted: 0,
-                consumed: 0,
             },
         );
         Ok(id)
@@ -582,15 +578,19 @@ impl Fabric {
     /// Tears down a connection completely, removing **both** endpoints and
     /// releasing their RNIC state (the lazy-teardown path: an idle-aged
     /// connection stops costing memory, unlike an errored one which lingers
-    /// in `Error` state). In-flight traffic is unaffected — teardown is
-    /// only safe for drained QPs, which is what the pool's idle-age check
-    /// guarantees.
+    /// in `Error` state). Refuses with [`RdmaError::QpBusy`] while either
+    /// endpoint still has sends on the wire: each end of a pair is pooled
+    /// by its own engine, so one end can look idle while its peer streams.
     pub fn destroy_qp(&self, h: QpHandle) -> Result<(), RdmaError> {
         let mut inner = self.inner.borrow_mut();
-        let (peer_node, peer_qp) = {
+        let (peer_node, peer_qp, outstanding) = {
             let qp = inner.qp(h.node, h.qp)?;
-            (qp.peer_node, qp.peer_qp)
+            (qp.peer_node, qp.peer_qp, qp.sq_outstanding)
         };
+        let peer_outstanding = inner.qp(peer_node, peer_qp).map_or(0, |q| q.sq_outstanding);
+        if outstanding + peer_outstanding > 0 {
+            return Err(RdmaError::QpBusy(h.qp));
+        }
         for (node, qpid) in [(h.node, h.qp), (peer_node, peer_qp)] {
             if let Ok(state) = inner.node_mut(node) {
                 if let Some(qp) = state.qps.remove(&qpid) {
@@ -794,7 +794,6 @@ impl Fabric {
         }
         let state = inner.rqs.get_mut(&rq).expect("checked above");
         state.queue.push_back(RecvWr { wr_id, buf });
-        state.posted += 1;
         Ok(())
     }
 
@@ -806,17 +805,6 @@ impl Fabric {
             .get(&rq)
             .map(|r| r.queue.len())
             .unwrap_or(0)
-    }
-
-    /// Returns `(posted, consumed)` counters for `rq` — the DNE core thread
-    /// monitors consumption to replenish buffers (§3.5.2).
-    pub fn rq_counters(&self, rq: RqId) -> (u64, u64) {
-        self.inner
-            .borrow()
-            .rqs
-            .get(&rq)
-            .map(|r| (r.posted, r.consumed))
-            .unwrap_or((0, 0))
     }
 
     /// Schedules a CQE push (and its waker) at instant `at`.
@@ -978,7 +966,6 @@ impl Fabric {
             wr_id: recv_wr,
             buf: mut recv_buf,
         } = rq.queue.pop_front().expect("non-empty");
-        rq.consumed += 1;
 
         // Corruption is detected at the responder after a buffer was popped:
         // both ends complete in error, exactly like the length-error path.
@@ -1245,9 +1232,13 @@ mod tests {
 
     #[test]
     fn destroy_qp_removes_both_endpoints_and_releases_cache() {
-        let p = setup();
-        let fabric = p.fabric;
-        let h = p.h_ab;
+        let Pair {
+            fabric,
+            mut sim,
+            pool_a,
+            h_ab: h,
+            ..
+        } = setup();
         fabric.set_qp_active(h, true).unwrap();
         assert_eq!(fabric.active_qp_count(h.node), 1);
         assert_eq!(fabric.peak_active_qp_count(h.node), 1);
@@ -1259,6 +1250,12 @@ mod tests {
                 qp: qp.peer_qp,
             }
         };
+        // Neither end can pull the pair out from under a send on the wire.
+        let buf = pool_a.get().unwrap();
+        fabric.post_send(&mut sim, h, WrId(1), buf, 0).unwrap();
+        assert_eq!(fabric.destroy_qp(peer), Err(RdmaError::QpBusy(peer.qp)));
+        assert_eq!(fabric.destroy_qp(h), Err(RdmaError::QpBusy(h.qp)));
+        sim.run();
         fabric.destroy_qp(h).unwrap();
         assert_eq!(fabric.active_qp_count(h.node), 0);
         // Peak is a high-water mark: it survives the teardown.

@@ -82,6 +82,8 @@ pub enum RdmaError {
     UnknownQp(QpId),
     /// The queue pair is not ready (still connecting or errored).
     QpNotReady(QpId),
+    /// The connection still has sends on the wire at one of its ends.
+    QpBusy(QpId),
     /// The node identifier is not part of the fabric.
     UnknownNode(NodeId),
     /// The buffer's pool is not registered with the local RNIC.
@@ -103,6 +105,7 @@ impl fmt::Display for RdmaError {
         match self {
             RdmaError::UnknownQp(qp) => write!(f, "unknown QP {qp:?}"),
             RdmaError::QpNotReady(qp) => write!(f, "QP {qp:?} is not ready"),
+            RdmaError::QpBusy(qp) => write!(f, "QP {qp:?} has sends in flight"),
             RdmaError::UnknownNode(n) => write!(f, "unknown node {n}"),
             RdmaError::UnregisteredMemory => write!(f, "memory not registered with the RNIC"),
             RdmaError::BadRKey(k) => write!(f, "bad rkey {k:?}"),

@@ -137,6 +137,15 @@ impl IoLib {
         inner.dne.register_endpoint(fn_id, endpoint);
     }
 
+    /// Unregisters every local function from the delivery map and the DNE.
+    /// Endpoint closures hold clones of this library, so this is what
+    /// breaks the reference cycle when the node is torn down.
+    pub fn unregister_functions(&self) {
+        let mut inner = self.inner.borrow_mut();
+        inner.endpoints.clear();
+        inner.dne.clear_endpoints();
+    }
+
     /// Sends a detached buffer descriptor to `desc.dst_fn`.
     ///
     /// Local destinations: sidecar check, SK_MSG descriptor hand-off.

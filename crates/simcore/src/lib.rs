@@ -13,15 +13,13 @@
 //! - [`resource`]: FIFO single-/multi-server resources with utilization
 //!   accounting, used to model CPU cores, DPU cores and DMA engines.
 //! - [`rng`]: seeded SplitMix64 RNG plus the distributions the workloads use.
-//! - [`stats`]: streaming mean/variance, log-bucketed latency histograms with
-//!   percentiles, and time-series recorders for the figure reproductions.
+//! - [`stats`]: log-bucketed latency histograms with percentiles and
+//!   time-series recorders for the figure reproductions.
 //! - [`ratelimit`]: token bucket used for bandwidth shaping.
-//! - [`queue`]: bounded FIFO with drop accounting.
 
 pub mod baseline;
 pub mod engine;
 pub mod event;
-pub mod queue;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;

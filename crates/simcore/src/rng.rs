@@ -75,27 +75,6 @@ impl SimRng {
         self.next_f64() < p
     }
 
-    /// Samples an index according to non-negative `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weights must be non-empty and positive"
-        );
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -152,19 +131,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| r.exponential(5.0)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean = {mean}");
-    }
-
-    #[test]
-    fn weighted_index_tracks_weights() {
-        let mut r = SimRng::new(4);
-        let weights = [6.0, 1.0, 2.0];
-        let mut counts = [0u32; 3];
-        let n = 90_000;
-        for _ in 0..n {
-            counts[r.weighted_index(&weights)] += 1;
-        }
-        let share0 = counts[0] as f64 / n as f64;
-        assert!((share0 - 6.0 / 9.0).abs() < 0.02, "share0 = {share0}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Measurement utilities: latency histograms, streaming moments, and
-//! windowed time series used to regenerate the paper's figures.
+//! Measurement utilities: latency histograms and windowed time series
+//! used to regenerate the paper's figures.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -175,53 +175,6 @@ pub struct LatencySummary {
     pub p90_us: f64,
     pub p99_us: f64,
     pub max_us: f64,
-}
-
-/// Streaming mean and variance (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct Moments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Moments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Moments::default()
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Returns the number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Returns the sample mean, or zero when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Returns the sample variance, or zero with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Returns the sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// A windowed event-rate recorder producing `(window_end_seconds, value)` points.
@@ -427,16 +380,6 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&a);
         assert_eq!(empty.summary(), before);
-    }
-
-    #[test]
-    fn moments_match_closed_form() {
-        let mut m = Moments::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.add(x);
-        }
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

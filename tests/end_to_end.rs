@@ -1,5 +1,7 @@
 //! Cross-crate integration tests: the full NADINO stack end to end.
 
+use std::rc::Rc;
+
 use membuf::tenant::TenantId;
 use nadino::boutique;
 use nadino::cluster::{Cluster, ClusterConfig};
@@ -206,4 +208,40 @@ fn multi_tenant_boutique_shares_by_weight() {
             assert_eq!(cluster.pool(tenant, idx).stats().in_flight, 0);
         }
     }
+}
+
+/// Dropping a cluster with its `Sim` and load driver frees every node:
+/// nothing else holds the placement map or the host cores that each
+/// node's `IoLib` shares.
+#[test]
+fn dropped_cluster_frees_its_nodes() {
+    let mut sim = Sim::new();
+    let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+    let tenant = TenantId(1);
+    cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+    let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+    cluster.place(1, 0);
+    cluster.place(2, 1);
+    let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(1));
+    cluster.register_chain(
+        &chain,
+        |_| SimDuration::from_micros(10),
+        driver.completion(),
+    );
+    driver.start(&mut sim, &cluster, &chain, 4, 256);
+    sim.run();
+    assert!(driver.completed() > 0);
+
+    let placement = Rc::downgrade(&cluster.placement);
+    let cores: Vec<_> = cluster
+        .nodes
+        .iter()
+        .map(|n| Rc::downgrade(&n.cpu))
+        .collect();
+    drop((cluster, sim, driver));
+    assert!(placement.upgrade().is_none(), "placement map leaked");
+    assert!(
+        cores.iter().all(|c| c.upgrade().is_none()),
+        "host cores leaked"
+    );
 }
