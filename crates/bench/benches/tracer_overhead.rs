@@ -141,9 +141,9 @@ fn run(workload: Workload, mode: Mode) -> RunOut {
     }
     let tenant = TenantId(1);
     cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-    // The traced modes also carry the exemplar-bearing observation sites
-    // (per-node engine latency histograms), so the 15% overhead gate
-    // prices histogram records + exemplar offers on the hot path too.
+    // The engines always record their latency histograms, offering an
+    // exemplar per sampled request, so the 15% overhead gate prices those
+    // records too; the traced modes export them to count the exemplars.
     let reg = matches!(mode, Mode::Enabled | Mode::TailSampled).then(|| {
         let reg = obs::MetricsRegistry::new();
         cluster.export_latency_histograms(&reg);

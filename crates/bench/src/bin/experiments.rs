@@ -216,6 +216,7 @@ fn instrumented_run(
     driver.start(&mut sim, &cluster, &chain, 8, 256);
     let cluster = Rc::new(cluster);
     let reg = Rc::new(obs::MetricsRegistry::new());
+    cluster.export_latency_histograms(&reg);
     cluster.with_trace_pipeline(|p| p.attach_metrics((*reg).clone()));
     cluster.start_obs_sampler(&mut sim, Rc::clone(&reg), SimDuration::from_millis(1), stop);
     sim.run();

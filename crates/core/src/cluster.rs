@@ -805,12 +805,6 @@ impl Cluster {
                 .set(stats.reconnects as f64);
             reg.gauge("dne_give_ups_total", &nl)
                 .set(stats.give_ups as f64);
-            if stats.retry_latency.count() > 0 {
-                reg.gauge("dne_retry_latency_mean_us", &nl)
-                    .set(stats.retry_latency.mean().as_micros_f64());
-                reg.gauge("dne_retry_latency_p99_us", &nl)
-                    .set(stats.retry_latency.percentile(99.0).as_micros_f64());
-            }
             reg.gauge("rbr_replenishes_total", &nl)
                 .set(stats.replenishes as f64);
             reg.gauge("rbr_replenish_failures_total", &nl)
@@ -921,19 +915,18 @@ impl Cluster {
             .sum()
     }
 
-    /// Registers exemplar-carrying fleet latency histograms on every
-    /// node's engine: DWRR queue wait, retry latency and RNIC
-    /// post-to-completion, labelled by node so the aggregation layer can
-    /// project the label away and merge them exactly.
+    /// Registers every node's exemplar-carrying engine latency histograms
+    /// (DWRR queue wait, retry latency, RNIC post-to-completion) with
+    /// `reg`, labelled by node so the aggregation layer can project the
+    /// label away and merge them exactly. The registry reads the engines'
+    /// own handles: each sample is recorded once, at its site.
     pub fn export_latency_histograms(&self, reg: &obs::MetricsRegistry) {
         for (idx, node) in self.nodes.iter().enumerate() {
             let label = idx.to_string();
             let nl = [("node", label.as_str())];
-            node.dne.set_obs_sink(dne::DneObsSink {
-                tx_queue_wait: Some(reg.histogram("dne_tx_queue_wait_ns", &nl)),
-                retry_latency: Some(reg.histogram("dne_retry_latency_ns", &nl)),
-                post_to_completion: Some(reg.histogram("dne_post_to_completion_ns", &nl)),
-            });
+            for (name, handle) in node.dne.latency_histograms() {
+                reg.register_histogram(name, &nl, handle);
+            }
         }
     }
 

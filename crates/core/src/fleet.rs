@@ -254,9 +254,7 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
     // virtual time (RC establishment costs tens of ms).
     let t0 = sim.now();
     let until = t0 + cfg.horizon;
-    let agg = Rc::new(RefCell::new(obs::Aggregator::new(
-        obs::AggregatorConfig::default(),
-    )));
+    let agg = Rc::new(RefCell::new(obs::Aggregator::new()));
     obs_tick(
         cluster.clone(),
         reg.clone(),

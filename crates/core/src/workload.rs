@@ -25,7 +25,6 @@ struct Inner {
     pending: HashMap<u64, SimTime>,
     hist: Histogram,
     completed: u64,
-    shed: u64,
     stop_at: SimTime,
     began: SimTime,
     last_done: SimTime,
@@ -49,7 +48,6 @@ impl ClosedLoop {
                 pending: HashMap::new(),
                 hist: Histogram::new(),
                 completed: 0,
-                shed: 0,
                 stop_at,
                 began: SimTime::ZERO,
                 last_done: SimTime::ZERO,
@@ -114,9 +112,7 @@ impl ClosedLoop {
 
     /// Marks a request as shed (admission failure) without latency record.
     pub fn shed(&self, req_id: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.pending.remove(&req_id);
-        inner.shed += 1;
+        self.inner.borrow_mut().pending.remove(&req_id);
     }
 
     /// Starts `clients` closed-loop clients against `chain` on `cluster`,
@@ -147,11 +143,6 @@ impl ClosedLoop {
     /// Returns completed request count.
     pub fn completed(&self) -> u64 {
         self.inner.borrow().completed
-    }
-
-    /// Returns shed (admission-failed) request count.
-    pub fn shed_count(&self) -> u64 {
-        self.inner.borrow().shed
     }
 
     /// Returns the latency histogram (cloned snapshot).

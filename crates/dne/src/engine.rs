@@ -8,6 +8,15 @@
 //! (they recycle buffers), then TX descriptors in the order chosen by the
 //! tenant scheduler (DWRR or FCFS).
 //!
+//! Each stage decides under the engine borrow and returns one `Effect`
+//! (deliver, post, arm a backoff timer, reconnect, fail typed), which
+//! `Dne::apply` performs with no borrow held. The first post of a
+//! descriptor and every retry share one post routine (WR id, ctx stamp at
+//! the peer's negotiated wire version, `PostedSend` record) and one
+//! dry-pool routine (park and reconnect, or fail typed). Each latency
+//! sample is recorded once, into the engine's own `obs::HistogramHandle`s,
+//! which [`Dne::stats`] reads back and a metrics registry can export.
+//!
 //! The engine is processor-agnostic: configured with
 //! [`ProcessorKind::DpuArm`] and Comch IPC it is NADINO (DNE); with
 //! [`ProcessorKind::HostCpu`] and SK_MSG IPC it is NADINO (CNE); with
@@ -127,18 +136,50 @@ struct TxItem {
     sampled: bool,
 }
 
+/// Which send this is and how far its recovery got: carried from the first
+/// post through every retry, and reported by the typed failure that may
+/// end it.
+#[derive(Clone, Copy)]
+struct SendMeta {
+    tenant: TenantId,
+    dst_fn: u16,
+    req_id: u64,
+    /// When the *first* attempt of this send was posted (retry latency).
+    first_at: SimTime,
+    /// Attempts already made (0 until the first post fails).
+    attempts: u32,
+}
+
+impl SendMeta {
+    /// A send whose first attempt is yet to be made.
+    fn new(tenant: TenantId, dst_fn: u16, req_id: u64, now: SimTime) -> SendMeta {
+        SendMeta {
+            tenant,
+            dst_fn,
+            req_id,
+            first_at: now,
+            attempts: 0,
+        }
+    }
+
+    fn failure(self, reason: FailureReason, dst_node: Option<NodeId>) -> DeliveryFailure {
+        DeliveryFailure {
+            tenant: self.tenant,
+            dst_fn: self.dst_fn,
+            req_id: self.req_id,
+            attempts: self.attempts,
+            reason,
+            dst_node,
+        }
+    }
+}
+
 /// Bookkeeping for an in-flight RNIC send, keyed by WR id, so the send
 /// completion can close the fabric span and the post-to-completion
 /// histogram, and — on an error CQE — drive the retry pipeline.
 struct PostedSend {
     at: SimTime,
-    /// When the *first* attempt of this send was posted (retry latency).
-    first_at: SimTime,
-    req_id: u64,
-    tenant: TenantId,
-    dst_fn: u16,
-    /// Attempts already completed before this post (0 for the first).
-    attempts: u32,
+    meta: SendMeta,
     /// The node this WR was posted toward. Failure blame must target this
     /// node, not a fresh route lookup — after a failover the lookup points
     /// at the (healthy) backup.
@@ -154,13 +195,8 @@ struct PostedSend {
 /// background reconnect brings a connection up.
 struct PendingRetry {
     buf: OwnedBuf,
-    tenant: TenantId,
-    dst_fn: u16,
+    meta: SendMeta,
     peer: NodeId,
-    req_id: u64,
-    first_at: SimTime,
-    /// Attempts already made (0 when parked before any post succeeded).
-    attempts: u32,
     /// When the send was first parked, so the eventual repost can record
     /// the whole backoff/reconnect wait as a `RetryBackoff` span.
     parked_at: SimTime,
@@ -176,27 +212,38 @@ struct PeerLink {
     engine: Weak<RefCell<Inner>>,
 }
 
-/// What the engine decided about an errored send completion.
-enum FailedSendOutcome {
-    /// Parked under `id`; arm a backoff timer for it.
-    Retry { id: u64, backoff: SimDuration },
-    /// Recovery exhausted; surface the typed failure.
+/// What a stage decided; [`Dne::apply`] performs it once the engine borrow
+/// is released.
+enum Effect {
+    /// Hand a descriptor to a function endpoint after `latency`.
+    Deliver(FnEndpoint, BufferDesc, SimDuration),
+    /// Post a send on `qp`: now, or at `at` when the SoC DMA engine is
+    /// still staging the payload.
+    Post {
+        qp: QpHandle,
+        wr: rdma_sim::WrId,
+        buf: OwnedBuf,
+        imm: u64,
+        at: Option<SimTime>,
+    },
+    /// Arm the backoff timer of parked retry `id`.
+    Backoff { id: u64, after: SimDuration },
+    /// Start (or join) the background reconnect of a dry `(tenant, peer)`
+    /// pool; the send is parked until it comes up.
+    Reconnect(TenantId, NodeId),
+    /// Surface a typed failure.
     Fail(DeliveryFailure),
 }
 
-/// Optional exemplar-carrying fleet histogram sinks the cluster may
-/// register so the engine's latency sites feed the windowed rollup
-/// directly, alongside the always-on [`DneStats`] histograms. Sampled
-/// requests attach `(trace_id, span_id)` exemplars to the bucket their
-/// observation lands in.
-#[derive(Clone, Default)]
-pub struct DneObsSink {
-    /// DWRR queue wait (submit → dequeue).
-    pub tx_queue_wait: Option<obs::HistogramHandle>,
-    /// First post → final successful completion, for retried sends.
-    pub retry_latency: Option<obs::HistogramHandle>,
-    /// RNIC post → CQE.
-    pub post_to_completion: Option<obs::HistogramHandle>,
+/// The engine's latency histograms. Each sample is recorded once, with the
+/// sampled request's exemplar where one exists; [`Dne::stats`] reads them
+/// back and [`Dne::latency_histograms`] hands them to a metrics registry.
+#[derive(Default)]
+struct Histograms {
+    tx_queue_wait: obs::HistogramHandle,
+    sched_delay: obs::HistogramHandle,
+    post_to_completion: obs::HistogramHandle,
+    retry_latency: obs::HistogramHandle,
 }
 
 struct Inner {
@@ -214,7 +261,9 @@ struct Inner {
     rbr: ReceiveBufferRegistry,
     soc_dma: SocDma,
     in_flight: usize,
+    /// Counters; the histogram fields stay empty (see `hist`).
     stats: DneStats,
+    hist: Histograms,
     next_send_wr: u64,
     tracer: Tracer,
     posted: HashMap<u64, PostedSend>,
@@ -232,7 +281,6 @@ struct Inner {
     /// know where to point the new QP.
     peer_links: HashMap<(TenantId, NodeId), PeerLink>,
     failure_handler: Option<DeliveryFailureHandler>,
-    obs_sink: DneObsSink,
     /// Per-peer negotiated CTX wire versions, announced by the control
     /// plane during rolling upgrades. Absent ⇒ assume the peer runs the
     /// current version (the homogeneous-fleet fast path).
@@ -288,26 +336,20 @@ impl Inner {
         }
         let (tenant, item) = self.txq.dequeue()?;
         let wait = now.saturating_since(item.enqueued_at);
-        self.stats.tx_queue_wait.record(wait);
-        let mut ctx = None;
-        if item.sampled {
-            let span_id = self.tracer.span(
-                item.req_id,
-                tenant.0,
-                self.node.0 as u32,
-                Stage::DwrrQueue,
-                item.enqueued_at,
-                now,
-            );
-            ctx = Some((item.req_id, span_id));
-        }
-        if let Some(h) = &self.obs_sink.tx_queue_wait {
-            h.record_traced(wait, ctx);
-        }
+        let ctx = item.sampled.then(|| {
+            let (node, stage) = (self.node.0 as u32, Stage::DwrrQueue);
+            let span = self
+                .tracer
+                .span(item.req_id, tenant.0, node, stage, item.enqueued_at, now);
+            (item.req_id, span)
+        });
+        self.hist.tx_queue_wait.record_traced(wait, ctx);
         Some(WorkItem::Tx(tenant, item.desc))
     }
 
-    fn service_for(&self, item: &WorkItem) -> SimDuration {
+    /// The item's service time on an engine core, and the pipeline stage
+    /// the SoC profiler charges it to.
+    fn service_for(&self, item: &WorkItem) -> (SimDuration, &'static str) {
         let endpoints = self.endpoints.len();
         let queued = self.queued();
         let ipc = self.ipc.engine_service(endpoints, queued);
@@ -315,19 +357,14 @@ impl Inner {
             OffloadMode::OnPath => self.cfg.dma_program,
             OffloadMode::OffPath => SimDuration::ZERO,
         };
+        let per_msg = ipc + self.cfg.extra_per_msg + on_path_extra;
         match item {
-            WorkItem::Tx(..) => self.cfg.tx_stage + ipc + self.cfg.extra_per_msg + on_path_extra,
+            WorkItem::Tx(..) => (self.cfg.tx_stage + per_msg, "tx_post"),
             WorkItem::Rx(cqe) => match cqe.opcode {
-                CqeOpcode::Recv => self.cfg.rx_stage + ipc + self.cfg.extra_per_msg + on_path_extra,
-                _ => self.cfg.send_completion,
+                CqeOpcode::Recv => (self.cfg.rx_stage + per_msg, "rx_deliver"),
+                _ => (self.cfg.send_completion, "send_completion"),
             },
         }
-    }
-
-    fn fresh_wr(&mut self) -> rdma_sim::WrId {
-        let wr = rdma_sim::WrId(u64::MAX - self.next_send_wr);
-        self.next_send_wr += 1;
-        wr
     }
 
     /// Replenishes one receive buffer for `tenant` (§3.5.2: the core thread
@@ -361,41 +398,27 @@ impl Inner {
 
     /// Abandons a send after recovery is exhausted, updating aggregate and
     /// per-tenant counters, and returns the typed failure to surface.
-    #[allow(clippy::too_many_arguments)]
     fn give_up(
         &mut self,
         now: SimTime,
-        tenant: TenantId,
-        dst_fn: u16,
-        req_id: u64,
-        attempts: u32,
-        first_at: SimTime,
+        m: SendMeta,
         reason: FailureReason,
         dst_node: Option<NodeId>,
     ) -> DeliveryFailure {
         self.stats.drops += 1;
         self.stats.give_ups += 1;
-        if attempts > 0 {
-            let lat = now.saturating_since(first_at);
-            self.stats.retry_latency.record(lat);
-            if let Some(h) = &self.obs_sink.retry_latency {
-                // No sampling decision survives to this site; the sample
-                // still counts, just without an exemplar.
-                h.record_traced(lat, None);
-            }
+        if m.attempts > 0 {
+            // No sampling decision survives to this site; the sample still
+            // counts, just without an exemplar.
+            self.hist
+                .retry_latency
+                .record(now.saturating_since(m.first_at));
         }
-        if let Some(st) = self.tenants.get_mut(&tenant) {
+        if let Some(st) = self.tenants.get_mut(&m.tenant) {
             st.failures.drops += 1;
             st.failures.give_ups += 1;
         }
-        DeliveryFailure {
-            tenant,
-            dst_fn,
-            req_id,
-            attempts,
-            reason,
-            dst_node,
-        }
+        m.failure(reason, dst_node)
     }
 
     /// Cancels a send whose deadline expired before the engine could
@@ -405,114 +428,77 @@ impl Inner {
     fn cancel_expired(
         &mut self,
         now: SimTime,
-        tenant: TenantId,
-        dst_fn: u16,
-        req_id: u64,
-        attempts: u32,
+        m: SendMeta,
         dst_node: Option<NodeId>,
     ) -> DeliveryFailure {
         self.stats.drops += 1;
+        self.tenant_drop(m.tenant);
+        self.deadline_drop(now, m.tenant, m.req_id);
+        m.failure(FailureReason::DeadlineExceeded, dst_node)
+    }
+
+    /// Counts a deadline drop, in aggregate and for `tenant`, and marks it
+    /// in the request's trace.
+    fn deadline_drop(&mut self, now: SimTime, tenant: TenantId, req_id: u64) {
         self.stats.deadline_drops += 1;
         if let Some(st) = self.tenants.get_mut(&tenant) {
-            st.failures.drops += 1;
             st.failures.deadline_drops += 1;
         }
         if self.tracer.is_enabled() {
-            self.tracer.span(
-                req_id,
-                tenant.0,
-                self.node.0 as u32,
-                Stage::DeadlineDrop,
-                now,
-                now,
-            );
-        }
-        DeliveryFailure {
-            tenant,
-            dst_fn,
-            req_id,
-            attempts,
-            reason: FailureReason::DeadlineExceeded,
-            dst_node,
+            let node = self.node.0 as u32;
+            self.tracer
+                .span(req_id, tenant.0, node, Stage::DeadlineDrop, now, now);
         }
     }
 
     /// Decides what to do about an errored send completion: re-park under
     /// the retry budget (the next pick steers around the failed QP), or give
     /// up and surface a typed failure.
-    fn on_failed_send(
-        &mut self,
-        now: SimTime,
-        cqe: Cqe,
-        posted: Option<PostedSend>,
-    ) -> FailedSendOutcome {
-        let (imm_tenant, imm_dst) = unpack_imm(cqe.imm);
-        let (tenant, dst_fn, first_at, prior, posted_peer) = match posted {
-            Some(p) => (p.tenant, p.dst_fn, p.first_at, p.attempts, Some(p.peer)),
-            None => (imm_tenant, imm_dst, now, 0, None),
+    fn on_failed_send(&mut self, now: SimTime, cqe: Cqe, posted: Option<PostedSend>) -> Effect {
+        let (m, posted_peer) = match posted {
+            Some(p) => (p.meta, Some(p.peer)),
+            None => {
+                let (tenant, dst_fn) = unpack_imm(cqe.imm);
+                (SendMeta::new(tenant, dst_fn, 0, now), None)
+            }
         };
-        let attempts = prior + 1; // counting the attempt that just failed
-        let Some(buf) = cqe.buf else {
+        let m = SendMeta {
+            req_id: cqe.buf.as_ref().map_or(0, |b| req_id_of(b.as_slice())),
+            attempts: m.attempts + 1, // counting the attempt that just failed
+            ..m
+        };
+        let (tenant, dst_fn, attempts) = (m.tenant, m.dst_fn, m.attempts);
+        let verdict = match cqe.buf {
             // No buffer came back with the CQE: nothing left to retry with.
-            let dst_node = posted_peer.or_else(|| self.routing.lookup(dst_fn));
-            return FailedSendOutcome::Fail(self.give_up(
-                now,
-                tenant,
-                dst_fn,
-                0,
-                attempts,
-                first_at,
+            None => Err((
                 FailureReason::RetryBudgetExhausted,
-                dst_node,
-            ));
-        };
-        let req_id = req_id_of(buf.as_slice());
-        let peer = match self.routing.resolve(dst_fn) {
-            Ok(peer) => peer,
-            Err(RouteError::DestinationDown { node, .. }) => {
+                posted_peer.or_else(|| self.routing.lookup(dst_fn)),
+            )),
+            Some(buf) => match self.routing.resolve(dst_fn) {
                 // The health monitor marked the destination down and no
                 // healthy replica exists: fail fast instead of parking a
                 // retry that can only time out against a corpse.
-                return FailedSendOutcome::Fail(self.give_up(
-                    now,
-                    tenant,
-                    dst_fn,
-                    req_id,
-                    attempts,
-                    first_at,
-                    FailureReason::DestinationDown,
-                    Some(node),
-                ));
-            }
-            Err(RouteError::UnknownDestination { .. }) => {
-                return FailedSendOutcome::Fail(self.give_up(
-                    now,
-                    tenant,
-                    dst_fn,
-                    req_id,
-                    attempts,
-                    first_at,
-                    FailureReason::NoConnection,
-                    posted_peer,
-                ));
-            }
+                Err(RouteError::DestinationDown { node, .. }) => {
+                    Err((FailureReason::DestinationDown, Some(node)))
+                }
+                Err(RouteError::UnknownDestination { .. }) => {
+                    Err((FailureReason::NoConnection, posted_peer))
+                }
+                // Blame the node the failed WR actually targeted; route the
+                // retry wherever the (possibly failed-over) table points now.
+                Ok(peer) if attempts > self.cfg.retry_budget => Err((
+                    FailureReason::RetryBudgetExhausted,
+                    Some(posted_peer.unwrap_or(peer)),
+                )),
+                Ok(peer) => Ok((buf, peer)),
+            },
         };
-        // Blame the node the failed WR actually targeted; route the retry
-        // wherever the (possibly failed-over) table points now.
+        // On failure the buffer has already dropped → recycled, not leaked.
+        let (buf, peer) = match verdict {
+            Ok(v) => v,
+            Err((reason, dst_node)) => return Effect::Fail(self.give_up(now, m, reason, dst_node)),
+        };
         let blamed = posted_peer.unwrap_or(peer);
-        if attempts > self.cfg.retry_budget {
-            // buf drops here → recycled, not leaked.
-            return FailedSendOutcome::Fail(self.give_up(
-                now,
-                tenant,
-                dst_fn,
-                req_id,
-                attempts,
-                first_at,
-                FailureReason::RetryBudgetExhausted,
-                Some(blamed),
-            ));
-        }
         let backoff = self.cfg.retry_backoff * (1u64 << (attempts - 1).min(16));
         // Deadline-aware park: when the request is already expired — or its
         // backoff timer would only fire after the deadline — parking is
@@ -520,65 +506,102 @@ impl Inner {
         if let Some(d) = self.deadline_if_enforced(buf.as_slice()) {
             if now >= d || now + backoff >= d {
                 // buf drops here → recycled.
-                return FailedSendOutcome::Fail(self.cancel_expired(
-                    now,
-                    tenant,
-                    dst_fn,
-                    req_id,
-                    attempts,
-                    Some(blamed),
-                ));
+                return Effect::Fail(self.cancel_expired(now, m, Some(blamed)));
             }
         }
         self.stats.retries += 1;
         if let Some(st) = self.tenants.get_mut(&tenant) {
             st.failures.retries += 1;
         }
-        let id = self.park_retry(
-            buf,
-            tenant,
-            dst_fn,
-            peer,
-            req_id,
-            first_at,
-            attempts,
-            now,
-            Some(cqe.qp),
-        );
-        FailedSendOutcome::Retry { id, backoff }
-    }
-
-    /// Parks a send for retry, returning the retry id.
-    #[allow(clippy::too_many_arguments)]
-    fn park_retry(
-        &mut self,
-        buf: OwnedBuf,
-        tenant: TenantId,
-        dst_fn: u16,
-        peer: NodeId,
-        req_id: u64,
-        first_at: SimTime,
-        attempts: u32,
-        parked_at: SimTime,
-        avoid: Option<QpId>,
-    ) -> u64 {
-        let id = self.next_retry_id;
-        self.next_retry_id += 1;
+        let id = self.fresh_retry_id();
         self.retries.insert(
             id,
             PendingRetry {
                 buf,
-                tenant,
-                dst_fn,
+                meta: m,
                 peer,
-                req_id,
-                first_at,
-                attempts,
-                parked_at,
-                avoid,
+                parked_at: now,
+                avoid: Some(cqe.qp),
             },
         );
+        Effect::Backoff { id, after: backoff }
+    }
+
+    /// Allocates a retry id. Ids only order parked sends (the reconnect
+    /// flush runs them in id order), so one left unused is harmless.
+    fn fresh_retry_id(&mut self) -> u64 {
+        let id = self.next_retry_id;
+        self.next_retry_id += 1;
         id
+    }
+
+    /// Posts `buf` on the picked `qp` — the one post path of the first
+    /// attempt and of every retry. Takes a WR id, re-stamps a sampled
+    /// payload's trace context to parent on `parent` at the peer's
+    /// negotiated wire version, records `sent` under the WR id for the
+    /// completion, and returns the post, due at `dma_done` when the SoC DMA
+    /// engine is still staging the payload.
+    fn post(
+        &mut self,
+        qp: QpHandle,
+        mut buf: OwnedBuf,
+        sent: PostedSend,
+        parent: Option<u32>,
+        dma_done: Option<SimTime>,
+    ) -> Effect {
+        let wr = rdma_sim::WrId(u64::MAX - self.next_send_wr);
+        self.next_send_wr += 1;
+        self.stats.tx_posted += 1;
+        // The freshest span id *is* the causal cursor, so the receiver's
+        // spans parent on this node's chain. Unsampled requests skip this:
+        // their flags byte is already zero. The stamp is downgraded to the
+        // peer's version during mixed-version rollouts (the peer may have
+        // changed versions while a retry backed off mid-wave).
+        if let Some(parent) = parent {
+            let eff = self.effective_wire_version(sent.peer);
+            obs::ctx::write_ctx_at(buf.as_mut_slice(), parent, true, eff);
+        }
+        let imm = pack_imm(sent.meta.tenant, sent.meta.dst_fn);
+        self.posted.insert(wr.0, sent);
+        Effect::Post {
+            qp,
+            wr,
+            buf,
+            imm,
+            at: dma_done,
+        }
+    }
+
+    /// Handles a dry `(tenant, peer)` pool (every QP errored or still
+    /// setting up): parks `p` under retry `id` and reconnects in the
+    /// background, or — with no recorded link to reconnect over — fails it
+    /// typed. A retry passes the id it already holds, so the reconnect
+    /// flush order does not change when it re-parks.
+    fn park_or_fail(&mut self, now: SimTime, id: u64, p: PendingRetry) -> Effect {
+        let (tenant, peer) = (p.meta.tenant, p.peer);
+        if !self.peer_links.contains_key(&(tenant, peer)) {
+            return Effect::Fail(self.give_up(
+                now,
+                p.meta,
+                FailureReason::NoConnection,
+                Some(peer),
+            ));
+        }
+        self.retries.insert(id, p);
+        Effect::Reconnect(tenant, peer)
+    }
+
+    /// Ids of the retries parked on `(tenant, peer)`, sorted: `HashMap`
+    /// iteration order is not deterministic, the flush order must be.
+    fn parked_on(&self, tenant: TenantId, peer: NodeId) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .retries
+            .iter()
+            .filter(|(_, p)| p.meta.tenant == tenant && p.peer == peer)
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -619,6 +642,7 @@ impl Dne {
             soc_dma: SocDma::default(),
             in_flight: 0,
             stats: DneStats::default(),
+            hist: Histograms::default(),
             next_send_wr: 0,
             tracer: Tracer::disabled(),
             posted: HashMap::new(),
@@ -629,7 +653,6 @@ impl Dne {
             reconnecting: HashSet::new(),
             peer_links: HashMap::new(),
             failure_handler: None,
-            obs_sink: DneObsSink::default(),
             peer_versions: HashMap::new(),
         }));
         let weak: Weak<RefCell<Inner>> = Rc::downgrade(&inner);
@@ -817,22 +840,14 @@ impl Dne {
         }
         // Record how to reach the peer engine so a pool that later runs dry
         // (every QP errored) can reconnect in the background.
-        a.inner.borrow_mut().peer_links.insert(
-            (tenant, node_b),
-            PeerLink {
-                cq: cq_b,
-                rq: rq_b,
-                engine: Rc::downgrade(&b.inner),
-            },
-        );
-        b.inner.borrow_mut().peer_links.insert(
-            (tenant, node_a),
-            PeerLink {
-                cq: cq_a,
-                rq: rq_a,
-                engine: Rc::downgrade(&a.inner),
-            },
-        );
+        for (from, to, node, cq, rq) in [(a, b, node_b, cq_b, rq_b), (b, a, node_a, cq_a, rq_a)] {
+            let engine = Rc::downgrade(&to.inner);
+            let link = PeerLink { cq, rq, engine };
+            from.inner
+                .borrow_mut()
+                .peer_links
+                .insert((tenant, node), link);
+        }
         Ok(())
     }
 
@@ -890,14 +905,7 @@ impl Dne {
                 } else {
                     match inner.next_item(now) {
                         Some(item) => {
-                            let service = inner.service_for(&item);
-                            let stage = match &item {
-                                WorkItem::Tx(..) => "tx_post",
-                                WorkItem::Rx(cqe) => match cqe.opcode {
-                                    CqeOpcode::Recv => "rx_deliver",
-                                    _ => "send_completion",
-                                },
-                            };
+                            let (service, stage) = inner.service_for(&item);
                             let done = inner.processor.run_staged(now, service, stage);
                             inner.in_flight += 1;
                             Some((item, done))
@@ -918,8 +926,8 @@ impl Dne {
 
     /// Finishes processing a work item and re-kicks the loop.
     fn complete(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, item: WorkItem, dispatched_at: SimTime) {
-        rc.borrow_mut()
-            .stats
+        rc.borrow()
+            .hist
             .sched_delay
             .record(sim.now().saturating_since(dispatched_at));
         match item {
@@ -937,30 +945,15 @@ impl Dne {
         desc: BufferDesc,
         dispatched_at: SimTime,
     ) {
-        // Phase 1 (engine state): redeem, route, pick connection.
-        enum Action {
-            Local(FnEndpoint, BufferDesc, SimDuration),
-            Send {
-                fabric: Fabric,
-                qp: QpHandle,
-                wr: rdma_sim::WrId,
-                buf: OwnedBuf,
-                imm: u64,
-                dma_done: Option<SimTime>,
-            },
-            /// The `(tenant, peer)` pool is dry: the descriptor was parked
-            /// and a background reconnect must be (or already is) underway.
-            Reconnect(TenantId, NodeId),
-            Fail(DeliveryFailure),
-        }
-        let action = {
+        let effect = {
             let mut inner = rc.borrow_mut();
+            let now = sim.now();
             let dst_fn = desc.dst_fn;
             let Some(state) = inner.tenants.get(&tenant) else {
                 inner.stats.drops += 1;
                 return;
             };
-            let mut buf = match state.pool.redeem(desc) {
+            let buf = match state.pool.redeem(desc) {
                 Ok(b) => b,
                 Err(_) => {
                     inner.stats.drops += 1;
@@ -982,215 +975,101 @@ impl Dne {
                     inner.node.0 as u32,
                     Stage::DneTx,
                     dispatched_at,
-                    sim.now(),
+                    now,
                 );
             }
+            let meta = SendMeta::new(tenant, dst_fn, req_id, now);
             // Cancellation point: a request whose deadline has already
             // passed is dropped here instead of consuming a connection,
             // fabric flight, and remote RX capacity.
             if let Some(d) = inner.deadline_if_enforced(buf.as_slice()) {
-                if sim.now() >= d {
+                if now >= d {
                     let dst_node = inner.routing.lookup(dst_fn);
-                    let f = inner.cancel_expired(sim.now(), tenant, dst_fn, req_id, 0, dst_node);
+                    let f = inner.cancel_expired(now, meta, dst_node);
                     // buf drops here → recycled.
                     drop(buf);
-                    let rc2 = rc.clone();
                     drop(inner);
-                    Dne::notify_failure(&rc2, sim, f);
+                    Dne::apply(rc, sim, Effect::Fail(f));
                     return;
                 }
             }
-            match inner.routing.resolve(dst_fn) {
+            let route = match inner.routing.resolve(dst_fn) {
+                // Unknown destination: the control plane never placed
+                // this function (or removed it). Surface a typed
+                // failure so upstream resolves instead of hanging.
                 Err(RouteError::UnknownDestination { .. }) => {
-                    // Unknown destination: the control plane never placed
-                    // this function (or removed it). Surface a typed
-                    // failure so upstream resolves instead of hanging.
-                    let now = sim.now();
-                    let f = inner.give_up(
-                        now,
-                        tenant,
-                        dst_fn,
-                        req_id,
-                        0,
-                        now,
-                        FailureReason::UnknownDestination,
-                        None,
-                    );
-                    Action::Fail(f) // buf dropped → recycled
+                    Err((FailureReason::UnknownDestination, None))
                 }
+                // The route exists but its node is down with no healthy
+                // replica: fail fast at the TX stage instead of posting
+                // into a dead peer and burning the retry budget on it.
                 Err(RouteError::DestinationDown { node, .. }) => {
-                    // The route exists but its node is down with no
-                    // healthy replica: fail fast at the TX stage instead
-                    // of posting into a dead peer and burning the retry
-                    // budget on it.
-                    let now = sim.now();
-                    let f = inner.give_up(
-                        now,
-                        tenant,
-                        dst_fn,
-                        req_id,
-                        0,
-                        now,
-                        FailureReason::DestinationDown,
-                        Some(node),
-                    );
-                    Action::Fail(f) // buf dropped → recycled
+                    Err((FailureReason::DestinationDown, Some(node)))
                 }
+                // Placed here, but no function endpoint is registered.
+                Ok(peer) if peer == inner.node && !inner.endpoints.contains_key(&dst_fn) => {
+                    Err((FailureReason::UnknownDestination, Some(peer)))
+                }
+                Ok(peer) => Ok(peer),
+            };
+            match route {
+                // `buf` drops → recycled.
+                Err((reason, dst_node)) => Effect::Fail(inner.give_up(now, meta, reason, dst_node)),
+                // Local destination: hand straight back over IPC.
                 Ok(peer) if peer == inner.node => {
-                    // Local destination: hand straight back over IPC.
-                    match inner.endpoints.get(&dst_fn).cloned() {
-                        Some(ep) => {
-                            let latency = inner.ipc.one_way_latency;
-                            inner.stats.rx_delivered += 1;
-                            Action::Local(ep, buf.into_desc(dst_fn), latency)
-                        }
-                        None => {
-                            let now = sim.now();
-                            let node = inner.node;
-                            let f = inner.give_up(
-                                now,
-                                tenant,
-                                dst_fn,
-                                req_id,
-                                0,
-                                now,
-                                FailureReason::UnknownDestination,
-                                Some(node),
-                            );
-                            Action::Fail(f)
-                        }
-                    }
+                    inner.stats.rx_delivered += 1;
+                    let ep = inner.endpoints[&dst_fn].clone(); // checked above
+                    Effect::Deliver(ep, buf.into_desc(dst_fn), inner.ipc.one_way_latency)
                 }
                 Ok(peer) => {
                     let fabric = inner.fabric.clone();
-                    match inner
-                        .conns
-                        .pick_least_congested(&fabric, sim.now(), tenant, peer)
-                    {
-                        Some(qp) => {
-                            let wr = inner.fresh_wr();
-                            let imm = pack_imm(tenant, dst_fn);
-                            let dma_done = match inner.cfg.offload {
-                                OffloadMode::OnPath => {
-                                    // Stage host → DPU memory over the SoC DMA.
-                                    Some(inner.soc_dma.transfer(sim.now(), buf.len()))
-                                }
-                                OffloadMode::OffPath => None,
-                            };
-                            inner.stats.tx_posted += 1;
-                            let posted_at = dma_done.unwrap_or_else(|| sim.now());
-                            if traced {
-                                let node = inner.node.0 as u32;
-                                let mut parent = inner.tracer.span(
-                                    req_id,
-                                    tenant.0,
-                                    node,
-                                    Stage::ConnPick,
-                                    sim.now(),
-                                    sim.now(),
-                                );
-                                if let Some(at) = dma_done {
-                                    parent = inner.tracer.span(
-                                        req_id,
-                                        tenant.0,
-                                        node,
-                                        Stage::SocDma,
-                                        sim.now(),
-                                        at,
-                                    );
-                                }
-                                // Stamp the on-wire trace context so the
-                                // receiver's spans parent on this node's
-                                // causal chain (the freshest span id *is*
-                                // the causal cursor). Unsampled requests
-                                // skip this entirely: their flags byte is
-                                // already zero. The stamp is downgraded to
-                                // the peer's negotiated wire version during
-                                // mixed-version rollouts.
-                                let eff = inner.effective_wire_version(peer);
-                                obs::ctx::write_ctx_at(buf.as_mut_slice(), parent, true, eff);
-                            }
-                            inner.posted.insert(
-                                wr.0,
-                                PostedSend {
-                                    at: posted_at,
-                                    first_at: posted_at,
-                                    req_id,
-                                    tenant,
-                                    dst_fn,
-                                    attempts: 0,
-                                    peer,
-                                    sampled: traced,
-                                },
-                            );
-                            Action::Send {
-                                fabric,
-                                qp,
-                                wr,
-                                buf,
-                                imm,
-                                dma_done,
-                            }
-                        }
+                    match inner.conns.pick_least_congested(&fabric, now, tenant, peer) {
+                        // Pool dry: park the send and reconnect in the
+                        // background instead of dropping it.
                         None => {
-                            // Pool dry (every QP errored or still setting
-                            // up): park the send and reconnect in the
-                            // background instead of dropping it.
-                            let rid = req_id_of(buf.as_slice());
-                            if inner.peer_links.contains_key(&(tenant, peer)) {
-                                let now = sim.now();
-                                inner.park_retry(buf, tenant, dst_fn, peer, rid, now, 0, now, None);
-                                Action::Reconnect(tenant, peer)
-                            } else {
-                                let now = sim.now();
-                                let f = inner.give_up(
-                                    now,
-                                    tenant,
-                                    dst_fn,
-                                    rid,
-                                    0,
-                                    now,
-                                    FailureReason::NoConnection,
-                                    Some(peer),
-                                );
-                                Action::Fail(f)
-                            }
+                            let id = inner.fresh_retry_id();
+                            let parked = PendingRetry {
+                                buf,
+                                meta,
+                                peer,
+                                parked_at: now,
+                                avoid: None,
+                            };
+                            inner.park_or_fail(now, id, parked)
+                        }
+                        Some(qp) => {
+                            // On-path: stage host → DPU memory over the
+                            // SoC DMA before the RNIC can read it.
+                            let dma_done = (inner.cfg.offload == OffloadMode::OnPath)
+                                .then(|| inner.soc_dma.transfer(now, buf.len()));
+                            let parent = traced.then(|| {
+                                let (node, t) = (inner.node.0 as u32, tenant.0);
+                                let tracer = &inner.tracer;
+                                let pick = tracer.span(req_id, t, node, Stage::ConnPick, now, now);
+                                match dma_done {
+                                    Some(at) => {
+                                        tracer.span(req_id, t, node, Stage::SocDma, now, at)
+                                    }
+                                    None => pick,
+                                }
+                            });
+                            let at = dma_done.unwrap_or(now);
+                            let sent = PostedSend {
+                                at,
+                                meta: SendMeta {
+                                    first_at: at,
+                                    ..meta
+                                },
+                                peer,
+                                sampled: traced,
+                            };
+                            inner.post(qp, buf, sent, parent, dma_done)
                         }
                     }
                 }
             }
         };
-        // Phase 2 (no engine borrow held): touch fabric / schedule IPC.
-        match action {
-            Action::Local(ep, desc, latency) => {
-                sim.schedule_after(latency, move |sim| ep(sim, desc));
-            }
-            Action::Send {
-                fabric,
-                qp,
-                wr,
-                buf,
-                imm,
-                dma_done,
-            } => match dma_done {
-                None => {
-                    let rc2 = rc.clone();
-                    if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                        Dne::post_send_failed(&rc2, sim, wr);
-                    }
-                }
-                Some(at) => {
-                    let rc2 = rc.clone();
-                    sim.schedule_at(at, move |sim| {
-                        if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                            Dne::post_send_failed(&rc2, sim, wr);
-                        }
-                    });
-                }
-            },
-            Action::Reconnect(tenant, peer) => Dne::start_reconnect(rc, sim, tenant, peer),
-            Action::Fail(f) => Dne::notify_failure(rc, sim, f),
-        }
+        Dne::apply(rc, sim, effect);
     }
 
     /// A synchronous `post_send` error (QP died between the pick and the
@@ -1199,18 +1078,8 @@ impl Dne {
     fn post_send_failed(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, wr: rdma_sim::WrId) {
         let failure = {
             let mut inner = rc.borrow_mut();
-            inner.posted.remove(&wr.0).map(|p| {
-                inner.give_up(
-                    sim.now(),
-                    p.tenant,
-                    p.dst_fn,
-                    p.req_id,
-                    p.attempts,
-                    p.first_at,
-                    FailureReason::NoConnection,
-                    Some(p.peer),
-                )
-            })
+            let p = inner.posted.remove(&wr.0);
+            p.map(|p| inner.give_up(sim.now(), p.meta, FailureReason::NoConnection, Some(p.peer)))
         };
         if let Some(f) = failure {
             Dne::notify_failure(rc, sim, f);
@@ -1218,13 +1087,7 @@ impl Dne {
     }
 
     fn complete_rx(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, cqe: Cqe, dispatched_at: SimTime) {
-        enum Action {
-            None,
-            Deliver(FnEndpoint, BufferDesc, SimDuration),
-            Retry { id: u64, backoff: SimDuration },
-            Fail(DeliveryFailure),
-        }
-        let action = {
+        let effect = {
             let mut inner = rc.borrow_mut();
             match cqe.opcode {
                 CqeOpcode::Send | CqeOpcode::Write | CqeOpcode::Read | CqeOpcode::CompareSwap => {
@@ -1233,29 +1096,20 @@ impl Dne {
                     // the WR was handed to the RNIC.
                     let posted = inner.posted.remove(&cqe.wr_id.0);
                     if let Some(p) = &posted {
-                        let p2c = sim.now().saturating_since(p.at);
-                        inner.stats.post_to_completion.record(p2c);
-                        let mut ctx = None;
-                        if p.sampled {
-                            let span_id = inner.tracer.span(
-                                p.req_id,
-                                p.tenant.0,
-                                inner.node.0 as u32,
-                                Stage::Fabric,
-                                p.at,
-                                sim.now(),
-                            );
-                            ctx = Some((p.req_id, span_id));
-                        }
-                        if let Some(h) = &inner.obs_sink.post_to_completion {
-                            h.record_traced(p2c, ctx);
-                        }
-                        if cqe.status == CqeStatus::Success && p.attempts > 0 {
-                            let lat = sim.now().saturating_since(p.first_at);
-                            inner.stats.retry_latency.record(lat);
-                            if let Some(h) = &inner.obs_sink.retry_latency {
-                                h.record_traced(lat, ctx);
-                            }
+                        let (m, now) = (p.meta, sim.now());
+                        let ctx = p.sampled.then(|| {
+                            let (node, t, stage) = (inner.node.0 as u32, m.tenant.0, Stage::Fabric);
+                            (
+                                m.req_id,
+                                inner.tracer.span(m.req_id, t, node, stage, p.at, now),
+                            )
+                        });
+                        let hist = &inner.hist;
+                        hist.post_to_completion
+                            .record_traced(now.saturating_since(p.at), ctx);
+                        if cqe.status == CqeStatus::Success && m.attempts > 0 {
+                            hist.retry_latency
+                                .record_traced(now.saturating_since(m.first_at), ctx);
                         }
                     }
                     // Shadow-QP reaping: idle connections leave the cache.
@@ -1263,15 +1117,9 @@ impl Dne {
                     inner.conns.deactivate_idle(&fabric, sim.now());
                     if cqe.status == CqeStatus::Success {
                         // cqe.buf drops here → sender buffer recycled.
-                        Action::None
-                    } else {
-                        match inner.on_failed_send(sim.now(), cqe, posted) {
-                            FailedSendOutcome::Retry { id, backoff } => {
-                                Action::Retry { id, backoff }
-                            }
-                            FailedSendOutcome::Fail(f) => Action::Fail(f),
-                        }
+                        return;
                     }
+                    inner.on_failed_send(sim.now(), cqe, posted)
                 }
                 CqeOpcode::Recv => {
                     let tenant = inner.rbr.consume(cqe.wr_id);
@@ -1341,44 +1189,24 @@ impl Dne {
                                     sim.now() + latency,
                                 );
                             }
-                            Action::Deliver(ep, buf.into_desc(dst_fn), latency)
+                            Effect::Deliver(ep, buf.into_desc(dst_fn), latency)
                         }
                         None => {
                             // The payload crossed the wire but no endpoint
                             // is registered here: typed failure (the
                             // sender-side handler never sees this, so the
                             // receiving node's handler reports it).
-                            let now = sim.now();
-                            let node = inner.node;
-                            let rid = req_id_of(buf.as_slice());
-                            let f = inner.give_up(
-                                now,
-                                tenant,
-                                dst_fn,
-                                rid,
-                                0,
-                                now,
-                                FailureReason::UnknownDestination,
-                                Some(node),
-                            );
-                            Action::Fail(f) // buf drops → recycled
+                            let (now, node) = (sim.now(), inner.node);
+                            let m = SendMeta::new(tenant, dst_fn, req_id_of(buf.as_slice()), now);
+                            let reason = FailureReason::UnknownDestination;
+                            Effect::Fail(inner.give_up(now, m, reason, Some(node)))
+                            // buf drops → recycled
                         }
                     }
                 }
             }
         };
-        match action {
-            Action::None => {}
-            Action::Deliver(ep, desc, latency) => {
-                sim.schedule_after(latency, move |sim| ep(sim, desc));
-            }
-            Action::Retry { id, backoff } => {
-                let rc2 = rc.clone();
-                let handle = sim.schedule_after(backoff, move |sim| Dne::run_retry(&rc2, sim, id));
-                rc.borrow_mut().retry_timers.insert(id, handle);
-            }
-            Action::Fail(f) => Dne::notify_failure(rc, sim, f),
-        }
+        Dne::apply(rc, sim, effect);
     }
 
     /// Fires a parked retry: re-picks a pooled QP (steering around the one
@@ -1387,134 +1215,95 @@ impl Dne {
     /// ultimately gave up) is a no-op, so a stale backoff timer can never
     /// duplicate a send.
     fn run_retry(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, id: u64) {
-        enum Step {
-            Post {
-                fabric: Fabric,
-                qp: QpHandle,
-                wr: rdma_sim::WrId,
-                buf: OwnedBuf,
-                imm: u64,
-            },
-            Reconnect(TenantId, NodeId),
-            Fail(DeliveryFailure),
-        }
-        let step = {
-            let mut inner = rc.borrow_mut();
-            inner.retry_timers.remove(&id);
-            let Some(mut p) = inner.retries.remove(&id) else {
-                return; // cancelled or already flushed: fire as a no-op
-            };
-            // The deadline may have passed while the retry sat parked
-            // (e.g. a reconnect flush arriving late): cancel, don't repost.
-            if let Some(d) = inner.deadline_if_enforced(p.buf.as_slice()) {
-                if sim.now() >= d {
-                    let f = inner.cancel_expired(
-                        sim.now(),
-                        p.tenant,
-                        p.dst_fn,
-                        p.req_id,
-                        p.attempts,
-                        Some(p.peer),
-                    );
-                    // p.buf drops here → recycled.
-                    drop(inner);
-                    Dne::notify_failure(rc, sim, f);
-                    return;
-                }
+        let now = sim.now();
+        let mut inner = rc.borrow_mut();
+        inner.retry_timers.remove(&id);
+        let Some(p) = inner.retries.remove(&id) else {
+            return; // cancelled or already flushed: fire as a no-op
+        };
+        // The deadline may have passed while the retry sat parked
+        // (e.g. a reconnect flush arriving late): cancel, don't repost.
+        if let Some(d) = inner.deadline_if_enforced(p.buf.as_slice()) {
+            if now >= d {
+                let f = inner.cancel_expired(now, p.meta, Some(p.peer));
+                drop(inner);
+                // `p` — and its buffer — drops only after the handler ran.
+                Dne::apply(rc, sim, Effect::Fail(f));
+                return;
             }
-            let fabric = inner.fabric.clone();
-            match inner.conns.pick_least_congested_excluding(
-                &fabric,
-                sim.now(),
-                p.tenant,
-                p.peer,
-                p.avoid,
-            ) {
-                Some(qp) => {
-                    if p.avoid.is_some() && Some(qp.qp) != p.avoid {
-                        inner.stats.failovers += 1;
-                    }
-                    let wr = inner.fresh_wr();
-                    let imm = pack_imm(p.tenant, p.dst_fn);
-                    inner.stats.tx_posted += 1;
-                    let sampled = inner.tracer.is_enabled() && obs::ctx::sampled(p.buf.as_slice());
-                    if sampled {
-                        let node = inner.node.0 as u32;
-                        // The whole park → repost wait is attributable
-                        // retry/backoff time on the critical path.
-                        let parent = inner.tracer.span(
-                            p.req_id,
-                            p.tenant.0,
-                            node,
-                            Stage::RetryBackoff,
-                            p.parked_at,
-                            sim.now(),
-                        );
-                        // Re-stamp the context: the re-sent payload now
-                        // parents downstream spans on the backoff span,
-                        // downgraded to the peer's negotiated version (the
-                        // peer may have changed versions while we backed
-                        // off mid-upgrade-wave).
-                        let eff = inner.effective_wire_version(p.peer);
-                        obs::ctx::write_ctx_at(p.buf.as_mut_slice(), parent, true, eff);
-                    }
-                    inner.posted.insert(
-                        wr.0,
-                        PostedSend {
-                            at: sim.now(),
-                            first_at: p.first_at,
-                            req_id: p.req_id,
-                            tenant: p.tenant,
-                            dst_fn: p.dst_fn,
-                            attempts: p.attempts,
-                            peer: p.peer,
-                            sampled,
-                        },
-                    );
-                    Step::Post {
-                        fabric,
-                        qp,
-                        wr,
-                        buf: p.buf,
-                        imm,
-                    }
+        }
+        let fabric = inner.fabric.clone();
+        let pick = inner.conns.pick_least_congested_excluding(
+            &fabric,
+            now,
+            p.meta.tenant,
+            p.peer,
+            p.avoid,
+        );
+        let effect = match pick {
+            None => inner.park_or_fail(now, id, p),
+            Some(qp) => {
+                if p.avoid.is_some() && Some(qp.qp) != p.avoid {
+                    inner.stats.failovers += 1;
                 }
-                None if inner.peer_links.contains_key(&(p.tenant, p.peer)) => {
-                    // Pool still dry: park again (no timer) and wait for the
-                    // background reconnect to flush us.
-                    let (tenant, peer) = (p.tenant, p.peer);
-                    inner.retries.insert(id, p);
-                    Step::Reconnect(tenant, peer)
-                }
-                None => {
-                    let f = inner.give_up(
-                        sim.now(),
-                        p.tenant,
-                        p.dst_fn,
-                        p.req_id,
-                        p.attempts,
-                        p.first_at,
-                        FailureReason::NoConnection,
-                        Some(p.peer),
-                    );
-                    Step::Fail(f)
-                }
+                // The whole park → repost wait is attributable retry/backoff
+                // time on the critical path; the re-sent payload parents
+                // downstream spans on it.
+                let traced = inner.tracer.is_enabled() && obs::ctx::sampled(p.buf.as_slice());
+                let parent = traced.then(|| {
+                    let (node, t) = (inner.node.0 as u32, p.meta.tenant.0);
+                    let stage = Stage::RetryBackoff;
+                    inner
+                        .tracer
+                        .span(p.meta.req_id, t, node, stage, p.parked_at, now)
+                });
+                let sent = PostedSend {
+                    at: now,
+                    meta: p.meta,
+                    peer: p.peer,
+                    sampled: traced,
+                };
+                inner.post(qp, p.buf, sent, parent, None)
             }
         };
-        match step {
-            Step::Post {
-                fabric,
+        drop(inner);
+        Dne::apply(rc, sim, effect);
+    }
+
+    /// Performs a stage's [`Effect`] with no engine borrow held, so the
+    /// fabric, the event queue and the failure handler may call back in.
+    fn apply(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, effect: Effect) {
+        match effect {
+            Effect::Deliver(ep, desc, latency) => {
+                sim.schedule_after(latency, move |sim| ep(sim, desc));
+            }
+            Effect::Post {
                 qp,
                 wr,
                 buf,
                 imm,
+                at,
             } => {
-                if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                    Dne::post_send_failed(rc, sim, wr);
+                let (fabric, rc2) = (rc.borrow().fabric.clone(), rc.clone());
+                let post = move |sim: &mut Sim| {
+                    if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
+                        Dne::post_send_failed(&rc2, sim, wr);
+                    }
+                };
+                match at {
+                    None => post(sim),
+                    Some(at) => {
+                        sim.schedule_at(at, post);
+                    }
                 }
             }
-            Step::Reconnect(tenant, peer) => Dne::start_reconnect(rc, sim, tenant, peer),
-            Step::Fail(f) => Dne::notify_failure(rc, sim, f),
+            Effect::Backoff { id, after } => {
+                let rc2 = rc.clone();
+                let handle = sim.schedule_after(after, move |sim| Dne::run_retry(&rc2, sim, id));
+                rc.borrow_mut().retry_timers.insert(id, handle);
+            }
+            Effect::Reconnect(tenant, peer) => Dne::start_reconnect(rc, sim, tenant, peer),
+            Effect::Fail(f) => Dne::notify_failure(rc, sim, f),
         }
     }
 
@@ -1598,15 +1387,7 @@ impl Dne {
         let ids = {
             let mut inner = rc.borrow_mut();
             inner.reconnecting.remove(&(tenant, peer));
-            let mut ids: Vec<u64> = inner
-                .retries
-                .iter()
-                .filter(|(_, p)| p.tenant == tenant && p.peer == peer)
-                .map(|(id, _)| *id)
-                .collect();
-            // HashMap iteration order is not deterministic; the flush order
-            // must be.
-            ids.sort_unstable();
+            let ids = inner.parked_on(tenant, peer);
             for id in &ids {
                 if let Some(p) = inner.retries.get_mut(id) {
                     p.avoid = None; // the failed QP is history; pick freely
@@ -1629,28 +1410,13 @@ impl Dne {
         let failures = {
             let mut inner = rc.borrow_mut();
             inner.reconnecting.remove(&(tenant, peer));
-            let mut ids: Vec<u64> = inner
-                .retries
-                .iter()
-                .filter(|(_, p)| p.tenant == tenant && p.peer == peer)
-                .map(|(id, _)| *id)
-                .collect();
-            ids.sort_unstable();
+            let ids = inner.parked_on(tenant, peer);
             let mut failures = Vec::with_capacity(ids.len());
             for id in ids {
                 inner.retry_timers.remove(&id);
                 if let Some(p) = inner.retries.remove(&id) {
-                    let f = inner.give_up(
-                        sim.now(),
-                        p.tenant,
-                        p.dst_fn,
-                        p.req_id,
-                        p.attempts,
-                        p.first_at,
-                        FailureReason::NoConnection,
-                        Some(p.peer),
-                    );
-                    failures.push(f);
+                    let reason = FailureReason::NoConnection;
+                    failures.push(inner.give_up(sim.now(), p.meta, reason, Some(p.peer)));
                 }
             }
             failures
@@ -1680,25 +1446,9 @@ impl Dne {
     /// deadline — reaches the same upstream sink. Deadline cancellations
     /// are folded into the engine's deadline accounting.
     pub fn report_failure(&self, sim: &mut Sim, failure: DeliveryFailure) {
-        {
+        if failure.reason == FailureReason::DeadlineExceeded {
             let mut inner = self.inner.borrow_mut();
-            if failure.reason == FailureReason::DeadlineExceeded {
-                inner.stats.deadline_drops += 1;
-                if let Some(st) = inner.tenants.get_mut(&failure.tenant) {
-                    st.failures.deadline_drops += 1;
-                }
-                if inner.tracer.is_enabled() {
-                    let node = inner.node.0 as u32;
-                    inner.tracer.span(
-                        failure.req_id,
-                        failure.tenant.0,
-                        node,
-                        Stage::DeadlineDrop,
-                        sim.now(),
-                        sim.now(),
-                    );
-                }
-            }
+            inner.deadline_drop(sim.now(), failure.tenant, failure.req_id);
         }
         Dne::notify_failure(&self.inner, sim, failure);
     }
@@ -1715,7 +1465,15 @@ impl Dne {
 
     /// Returns a snapshot of the engine's statistics.
     pub fn stats(&self) -> DneStats {
-        self.inner.borrow().stats.clone()
+        let inner = self.inner.borrow();
+        let h = &inner.hist;
+        DneStats {
+            tx_queue_wait: h.tx_queue_wait.histogram(),
+            sched_delay: h.sched_delay.histogram(),
+            post_to_completion: h.post_to_completion.histogram(),
+            retry_latency: h.retry_latency.histogram(),
+            ..inner.stats.clone()
+        }
     }
 
     /// Attaches a span tracer; pass [`Tracer::disabled`] to turn tracing
@@ -1729,10 +1487,16 @@ impl Dne {
         self.inner.borrow().tracer.clone()
     }
 
-    /// Registers fleet histogram sinks (with exemplars) for the engine's
-    /// latency sites; pass `DneObsSink::default()` to detach them.
-    pub fn set_obs_sink(&self, sink: DneObsSink) {
-        self.inner.borrow_mut().obs_sink = sink;
+    /// The engine's own exemplar-carrying latency handles (DWRR queue wait,
+    /// retry latency, RNIC post-to-completion), under the names a metrics
+    /// registry exports them by.
+    pub fn latency_histograms(&self) -> [(&'static str, obs::HistogramHandle); 3] {
+        let h = &self.inner.borrow().hist;
+        [
+            ("dne_tx_queue_wait_ns", h.tx_queue_wait.clone()),
+            ("dne_retry_latency_ns", h.retry_latency.clone()),
+            ("dne_post_to_completion_ns", h.post_to_completion.clone()),
+        ]
     }
 
     /// Per-pipeline-stage busy core-nanoseconds of the engine's SoC

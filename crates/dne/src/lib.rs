@@ -32,7 +32,7 @@ pub mod routing;
 pub mod sched;
 pub mod types;
 
-pub use engine::{DeliveryFailureHandler, Dne, DneObsSink};
+pub use engine::{DeliveryFailureHandler, Dne};
 pub use routing::{RouteError, RoutingTable};
 pub use sched::{DwrrScheduler, FcfsScheduler, TenantScheduler};
 pub use types::{

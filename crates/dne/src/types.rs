@@ -192,7 +192,9 @@ impl DneConfig {
 }
 
 /// Aggregate engine statistics, including the per-stage latency breakdown
-/// the observability layer renders as a table.
+/// the observability layer renders as a table. The histogram fields are
+/// snapshots of the engine's own latency handles (the ones a metrics
+/// registry exports), taken by `Dne::stats`.
 #[derive(Debug, Clone, Default)]
 pub struct DneStats {
     /// Descriptors accepted from host functions.

@@ -7,7 +7,7 @@
 //!
 //! - **counters** — summed totals, per-window deltas, and rates per
 //!   second of sim time;
-//! - **gauges** — weighted mean and max over the *fresh* series only
+//! - **gauges** — mean and max over the *fresh* series only
 //!   (stale series — e.g. a ratio gauge whose denominator was zero all
 //!   window — are counted but excluded, and a group that is all-stale
 //!   rolls up as `null`);
@@ -16,8 +16,8 @@
 //!   bucket counts, so a merged quantile equals the quantile of a single
 //!   histogram fed the union of samples. Exemplars merge alongside.
 //!
-//! The label projection drops high-cardinality keys (default: `node`) so
-//! per-node families collapse into fleet series. Everything iterates in
+//! The label projection drops the high-cardinality `node` key so per-node
+//! families collapse into fleet series. Everything iterates in
 //! `BTreeMap` order and all timestamps are virtual, so serialization is
 //! byte-stable for a fixed seed.
 
@@ -27,7 +27,7 @@ use simcore::{Histogram, SimTime};
 
 use crate::exemplar::ExemplarSet;
 use crate::json::JsonValue;
-use crate::metrics::{Labels, MetricsSnapshot};
+use crate::metrics::{labels_json, Labels, MetricsSnapshot};
 
 /// The report's fixed quantile set.
 const QUANTILES: [(f64, &str); 4] = [
@@ -37,36 +37,14 @@ const QUANTILES: [(f64, &str); 4] = [
     (0.999, "p999_ns"),
 ];
 
-/// Knobs for [`Aggregator`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggregatorConfig {
-    /// Label keys dropped before grouping, collapsing per-entity series
-    /// into fleet series.
-    pub drop_labels: Vec<String>,
-    /// Optional gauge weighting: `(gauge_name, counter_name)` pairs.
-    /// When rolling up `gauge_name`, each series is weighted by the
-    /// same-labels `counter_name` window delta instead of weight 1 —
-    /// e.g. weight a per-node hit rate by that node's claim count.
-    pub weight_by: Vec<(String, String)>,
-    /// Metric names excluded from the rollup entirely. Defaults to the
-    /// wall-clock self-observation gauges (`tracer_flush_ns`,
-    /// `sim_events_per_sec`) — folding wall time into a report that must
-    /// be byte-identical across same-seed runs would break it.
-    pub drop_metrics: Vec<String>,
-}
+/// Label keys dropped before grouping, collapsing per-entity series into
+/// fleet series.
+const DROP_LABELS: [&str; 1] = ["node"];
 
-impl Default for AggregatorConfig {
-    fn default() -> AggregatorConfig {
-        AggregatorConfig {
-            drop_labels: vec!["node".to_string()],
-            weight_by: Vec::new(),
-            drop_metrics: vec![
-                "tracer_flush_ns".to_string(),
-                "sim_events_per_sec".to_string(),
-            ],
-        }
-    }
-}
+/// Metric names excluded from the rollup entirely: the wall-clock
+/// self-observation gauges. Folding wall time into a report that must be
+/// byte-identical across same-seed runs would break it.
+const DROP_METRICS: [&str; 2] = ["tracer_flush_ns", "sim_events_per_sec"];
 
 /// Group key after label projection.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -96,8 +74,7 @@ pub struct CounterRollup {
 pub struct GaugeRollup {
     pub name: String,
     pub labels: Labels,
-    /// Weighted mean over fresh series; `None` when every series was
-    /// stale.
+    /// Mean over fresh series; `None` when every series was stale.
     pub mean: Option<f64>,
     /// Max over fresh series; `None` when every series was stale.
     pub max: Option<f64>,
@@ -129,8 +106,8 @@ pub struct WindowRollup {
 }
 
 /// Windowed fleet aggregator; feed it one snapshot per sampling window.
+#[derive(Default)]
 pub struct Aggregator {
-    cfg: AggregatorConfig,
     windows: Vec<WindowRollup>,
     /// Cumulative fleet totals per counter group at the last window.
     last_counters: BTreeMap<Key, u64>,
@@ -140,27 +117,21 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// Creates an aggregator with the given projection config.
-    pub fn new(cfg: AggregatorConfig) -> Aggregator {
-        Aggregator {
-            cfg,
-            windows: Vec::new(),
-            last_counters: BTreeMap::new(),
-            merged: BTreeMap::new(),
-            last_at_ns: 0,
-        }
+    /// Creates an empty aggregator.
+    pub fn new() -> Aggregator {
+        Aggregator::default()
     }
 
-    fn dropped(&self, name: &str) -> bool {
-        self.cfg.drop_metrics.iter().any(|d| d == name)
+    fn dropped(name: &str) -> bool {
+        DROP_METRICS.contains(&name)
     }
 
-    fn project(&self, name: &str, labels: &Labels) -> Key {
+    fn project(name: &str, labels: &Labels) -> Key {
         Key {
             name: name.to_string(),
             labels: labels
                 .iter()
-                .filter(|(k, _)| !self.cfg.drop_labels.iter().any(|d| d == k))
+                .filter(|(k, _)| !DROP_LABELS.contains(&k.as_str()))
                 .cloned()
                 .collect(),
         }
@@ -175,14 +146,11 @@ impl Aggregator {
 
         // Counters: sum per projected group, then delta vs last window.
         let mut totals: BTreeMap<Key, u64> = BTreeMap::new();
-        // Per-full-label-set deltas, kept for gauge weighting below.
-        let mut series_deltas: BTreeMap<(String, Labels), u64> = BTreeMap::new();
         for (name, labels, v) in snap.counters_iter() {
-            if self.dropped(name) {
+            if Self::dropped(name) {
                 continue;
             }
-            *totals.entry(self.project(name, labels)).or_insert(0) += v;
-            series_deltas.insert((name.to_string(), labels.clone()), v);
+            *totals.entry(Self::project(name, labels)).or_insert(0) += v;
         }
         let mut counters = Vec::with_capacity(totals.len());
         for (key, total) in &totals {
@@ -208,47 +176,32 @@ impl Aggregator {
         }
         self.last_counters = totals;
 
-        // Gauges: weighted mean + max over fresh series.
+        // Gauges: mean + max over fresh series.
         struct GaugeAcc {
-            weighted_sum: f64,
-            weight: f64,
+            sum: f64,
             max: Option<f64>,
             series: u32,
             stale: u32,
         }
         let mut gauge_acc: BTreeMap<Key, GaugeAcc> = BTreeMap::new();
         for (name, labels, value, stale) in snap.gauges_iter() {
-            if self.dropped(name) {
+            if Self::dropped(name) {
                 continue;
             }
-            let key = self.project(name, labels);
-            let acc = gauge_acc.entry(key).or_insert(GaugeAcc {
-                weighted_sum: 0.0,
-                weight: 0.0,
-                max: None,
-                series: 0,
-                stale: 0,
-            });
+            let acc = gauge_acc
+                .entry(Self::project(name, labels))
+                .or_insert(GaugeAcc {
+                    sum: 0.0,
+                    max: None,
+                    series: 0,
+                    stale: 0,
+                });
             acc.series += 1;
             if stale {
                 acc.stale += 1;
                 continue;
             }
-            let weight = self
-                .cfg
-                .weight_by
-                .iter()
-                .find(|(g, _)| g == name)
-                .and_then(|(_, counter)| {
-                    series_deltas
-                        .get(&(counter.clone(), labels.clone()))
-                        .copied()
-                })
-                .map_or(1.0, |w| w as f64);
-            if weight > 0.0 {
-                acc.weighted_sum += value * weight;
-                acc.weight += weight;
-            }
+            acc.sum += value;
             acc.max = Some(acc.max.map_or(value, |m: f64| m.max(value)));
         }
         let gauges = gauge_acc
@@ -256,7 +209,7 @@ impl Aggregator {
             .map(|(key, acc)| GaugeRollup {
                 name: key.name,
                 labels: key.labels,
-                mean: (acc.weight > 0.0).then(|| acc.weighted_sum / acc.weight),
+                mean: (acc.series > acc.stale).then(|| acc.sum / (acc.series - acc.stale) as f64),
                 max: acc.max,
                 series: acc.series,
                 stale: acc.stale,
@@ -266,12 +219,11 @@ impl Aggregator {
         // Histograms: exact bucketwise merge per group, cumulative.
         let mut merged: BTreeMap<Key, (Histogram, ExemplarSet)> = BTreeMap::new();
         for (name, labels, hist, exemplars) in snap.histograms_iter() {
-            if self.dropped(name) {
+            if Self::dropped(name) {
                 continue;
             }
-            let key = self.project(name, labels);
             let entry = merged
-                .entry(key)
+                .entry(Self::project(name, labels))
                 .or_insert_with(|| (Histogram::new(), ExemplarSet::new()));
             entry.0.merge(hist);
             entry.1.merge(exemplars);
@@ -326,15 +278,6 @@ impl Aggregator {
         (kept, dropped)
     }
 
-    fn labels_json(labels: &Labels) -> JsonValue {
-        JsonValue::Obj(
-            labels
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-                .collect(),
-        )
-    }
-
     /// The full rollup document: every window plus the final merged
     /// histograms with their exemplars.
     pub fn to_json(&self) -> JsonValue {
@@ -348,7 +291,7 @@ impl Aggregator {
                     .map(|c| {
                         let mut fields = vec![
                             ("name", JsonValue::Str(c.name.clone())),
-                            ("labels", Self::labels_json(&c.labels)),
+                            ("labels", labels_json(&c.labels)),
                             ("total", JsonValue::UInt(c.total)),
                             ("delta", JsonValue::UInt(c.delta)),
                             ("rate_per_sec", JsonValue::Float(c.rate_per_sec)),
@@ -365,7 +308,7 @@ impl Aggregator {
                     .map(|g| {
                         JsonValue::obj(vec![
                             ("name", JsonValue::Str(g.name.clone())),
-                            ("labels", Self::labels_json(&g.labels)),
+                            ("labels", labels_json(&g.labels)),
                             ("mean", g.mean.map_or(JsonValue::Null, JsonValue::Float)),
                             ("max", g.max.map_or(JsonValue::Null, JsonValue::Float)),
                             ("series", JsonValue::UInt(g.series as u64)),
@@ -379,7 +322,7 @@ impl Aggregator {
                     .map(|h| {
                         let mut fields = vec![
                             ("name", JsonValue::Str(h.name.clone())),
-                            ("labels", Self::labels_json(&h.labels)),
+                            ("labels", labels_json(&h.labels)),
                             ("count", JsonValue::UInt(h.count)),
                         ];
                         for (label, ns) in h.quantiles {
@@ -404,7 +347,7 @@ impl Aggregator {
             .map(|(k, (hist, exemplars))| {
                 let mut fields = vec![
                     ("name", JsonValue::Str(k.name.clone())),
-                    ("labels", Self::labels_json(&k.labels)),
+                    ("labels", labels_json(&k.labels)),
                     ("count", JsonValue::UInt(hist.count())),
                 ];
                 for (q, label) in QUANTILES {
@@ -418,13 +361,7 @@ impl Aggregator {
         JsonValue::obj(vec![
             (
                 "drop_labels",
-                JsonValue::Arr(
-                    self.cfg
-                        .drop_labels
-                        .iter()
-                        .map(|l| JsonValue::Str(l.clone()))
-                        .collect(),
-                ),
+                JsonValue::Arr(DROP_LABELS.map(|l| JsonValue::Str(l.into())).to_vec()),
             ),
             ("windows", JsonValue::Arr(windows)),
             ("histograms", JsonValue::Arr(final_hists)),
@@ -447,7 +384,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let a = reg.counter("req_total", &[("node", "1"), ("tenant", "7")]);
         let b = reg.counter("req_total", &[("node", "2"), ("tenant", "7")]);
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         a.add(3);
         b.add(5);
         agg.observe(at(1_000_000_000), &reg.snapshot());
@@ -467,7 +404,7 @@ mod tests {
 
     #[test]
     fn counter_regression_surfaces_as_delta_negative() {
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         let reg_a = MetricsRegistry::new();
         reg_a.counter("x", &[]).add(10);
         agg.observe(at(1), &reg_a.snapshot());
@@ -488,7 +425,7 @@ mod tests {
         reg.begin_sample();
         fresh.set(0.8);
         stale.set_ratio(0, 0); // skipped write
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         let g = &agg.windows()[0].gauges[0];
         assert_eq!((g.series, g.stale), (2, 1));
@@ -502,28 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_weighting_uses_matching_counter_deltas() {
-        let reg = MetricsRegistry::new();
-        reg.counter("claims_total", &[("node", "1")]).add(9);
-        reg.counter("claims_total", &[("node", "2")]).add(1);
-        reg.gauge("hit_rate", &[("node", "1")]).set(1.0);
-        reg.gauge("hit_rate", &[("node", "2")]).set(0.0);
-        let mut agg = Aggregator::new(AggregatorConfig {
-            weight_by: vec![("hit_rate".into(), "claims_total".into())],
-            ..AggregatorConfig::default()
-        });
-        agg.observe(at(1), &reg.snapshot());
-        let g = &agg.windows()[0].gauges[0];
-        // 9 of 10 claims hit: the busy node dominates the fleet mean.
-        assert!((g.mean.unwrap() - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
     fn wall_clock_metrics_are_dropped_from_the_rollup() {
         let reg = MetricsRegistry::new();
         reg.gauge("tracer_flush_ns", &[]).set(123456.0);
         reg.gauge("dne_engine_queued", &[("node", "0")]).set(3.0);
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         let names: Vec<&str> = agg.windows()[0]
             .gauges
@@ -539,7 +459,7 @@ mod tests {
         let h = reg.histogram("lat", &[]);
         h.record_traced(simcore::SimDuration::from_nanos(100), Some((1, 0)));
         h.record_traced(simcore::SimDuration::from_nanos(50_000), Some((2, 0)));
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         let keep: std::collections::BTreeSet<u64> = [2].into_iter().collect();
         let (kept, dropped) = agg.retain_exemplars(&keep);
@@ -569,7 +489,7 @@ mod tests {
             [&h1, &h2, &h3][(i % 3) as usize].record(d);
             single.record(d);
         }
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         let (_, _, merged, _) = agg.merged_histograms().next().unwrap();
         assert_eq!(merged.count(), single.count());
@@ -591,7 +511,7 @@ mod tests {
             reg.gauge("depth", &[("node", "1")]).set(2.0);
             reg.histogram("lat", &[("node", "1")])
                 .record_traced(SimDuration::from_micros(5), Some((11, 2)));
-            let mut agg = Aggregator::new(AggregatorConfig::default());
+            let mut agg = Aggregator::new();
             agg.observe(at(1_000), &reg.snapshot());
             agg.to_json().to_string_pretty()
         };

@@ -46,7 +46,7 @@ pub mod profile;
 pub mod sampler;
 pub mod span;
 
-pub use agg::{Aggregator, AggregatorConfig};
+pub use agg::Aggregator;
 pub use burn::{BurnConfig, BurnMonitor, BurnPoint};
 pub use critical_path::{CriticalPath, StageShare, TenantBreakdown};
 pub use ctx::{

@@ -29,7 +29,7 @@ fn labels_of(pairs: &[(&str, &str)]) -> Labels {
         .collect()
 }
 
-fn labels_json(labels: &Labels) -> JsonValue {
+pub(crate) fn labels_json(labels: &Labels) -> JsonValue {
     JsonValue::Obj(
         labels
             .iter()
@@ -128,11 +128,22 @@ impl Gauge {
     }
 }
 
-/// A latency histogram handle.
+/// A latency histogram handle. A component may own one outright
+/// (`HistogramHandle::default()`) and hand it to a registry later with
+/// [`MetricsRegistry::register_histogram`].
 #[derive(Clone)]
 pub struct HistogramHandle {
     hist: Rc<RefCell<Histogram>>,
     exemplars: Rc<RefCell<ExemplarSet>>,
+}
+
+impl Default for HistogramHandle {
+    fn default() -> Self {
+        HistogramHandle {
+            hist: Rc::new(RefCell::new(Histogram::new())),
+            exemplars: Rc::new(RefCell::new(ExemplarSet::new())),
+        }
+    }
 }
 
 impl HistogramHandle {
@@ -192,6 +203,34 @@ struct Registered<H> {
     handle: H,
 }
 
+/// The handle registered under `name` + `labels` in `list`, registering
+/// `make()` there first when the key is new (one entry per key, in
+/// registration order).
+fn slot<'a, H>(
+    list: &'a mut Vec<Registered<H>>,
+    name: &str,
+    labels: &[(&str, &str)],
+    make: impl FnOnce() -> H,
+) -> &'a mut H {
+    let labels = labels_of(labels);
+    let idx = match list
+        .iter()
+        .position(|r| r.name == name && r.labels == labels)
+    {
+        Some(idx) => idx,
+        None => {
+            let name = name.to_string();
+            list.push(Registered {
+                name,
+                labels,
+                handle: make(),
+            });
+            list.len() - 1
+        }
+    };
+    &mut list[idx].handle
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: Vec<Registered<Counter>>,
@@ -231,93 +270,58 @@ impl MetricsRegistry {
     /// Returns the counter registered under `name` + `labels`, creating it
     /// on first use. Re-registering returns a handle to the same counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let labels = labels_of(labels);
         let mut inner = self.inner.borrow_mut();
-        if let Some(r) = inner
-            .counters
-            .iter()
-            .find(|r| r.name == name && r.labels == labels)
-        {
-            return r.handle.clone();
-        }
-        let handle = Counter {
+        slot(&mut inner.counters, name, labels, || Counter {
             value: Rc::new(Cell::new(0)),
-        };
-        inner.counters.push(Registered {
-            name: name.to_string(),
-            labels,
-            handle: handle.clone(),
-        });
-        handle
+        })
+        .clone()
     }
 
     /// Returns the gauge registered under `name` + `labels`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let labels = labels_of(labels);
         let mut inner = self.inner.borrow_mut();
-        if let Some(r) = inner
-            .gauges
-            .iter()
-            .find(|r| r.name == name && r.labels == labels)
-        {
-            return r.handle.clone();
-        }
-        let handle = Gauge {
+        let epoch = inner.epoch.clone();
+        slot(&mut inner.gauges, name, labels, || Gauge {
             value: Rc::new(Cell::new(0.0)),
             stamp: Rc::new(Cell::new(0)),
-            epoch: inner.epoch.clone(),
-        };
-        inner.gauges.push(Registered {
-            name: name.to_string(),
-            labels,
-            handle: handle.clone(),
-        });
-        handle
+            epoch,
+        })
+        .clone()
     }
 
     /// Returns the histogram registered under `name` + `labels`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        let labels = labels_of(labels);
         let mut inner = self.inner.borrow_mut();
-        if let Some(r) = inner
-            .histograms
-            .iter()
-            .find(|r| r.name == name && r.labels == labels)
-        {
-            return r.handle.clone();
-        }
-        let handle = HistogramHandle {
-            hist: Rc::new(RefCell::new(Histogram::new())),
-            exemplars: Rc::new(RefCell::new(ExemplarSet::new())),
-        };
-        inner.histograms.push(Registered {
-            name: name.to_string(),
+        slot(
+            &mut inner.histograms,
+            name,
             labels,
-            handle: handle.clone(),
-        });
-        handle
+            HistogramHandle::default,
+        )
+        .clone()
+    }
+
+    /// Registers an existing histogram handle under `name` + `labels`, so
+    /// a component that records into its own handle is exported without a
+    /// second copy. Registering the same `(name, labels)` again replaces
+    /// the handle: the registry keeps one entry per key.
+    pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)], handle: HistogramHandle) {
+        let mut inner = self.inner.borrow_mut();
+        *slot(
+            &mut inner.histograms,
+            name,
+            labels,
+            HistogramHandle::default,
+        ) = handle;
     }
 
     /// Returns the windowed series registered under `name` + `labels`.
     pub fn series(&self, name: &str, labels: &[(&str, &str)], window: SimDuration) -> SeriesHandle {
-        let labels = labels_of(labels);
         let mut inner = self.inner.borrow_mut();
-        if let Some(r) = inner
-            .series
-            .iter()
-            .find(|r| r.name == name && r.labels == labels)
-        {
-            return r.handle.clone();
-        }
-        let handle = SeriesHandle {
+        slot(&mut inner.series, name, labels, || SeriesHandle {
             series: Rc::new(RefCell::new(TimeSeries::new(window))),
-        };
-        inner.series.push(Registered {
-            name: name.to_string(),
-            labels,
-            handle: handle.clone(),
-        });
-        handle
+        })
+        .clone()
     }
 
     /// Merges all histograms sharing `name` (across label sets) into one.
@@ -754,6 +758,19 @@ mod tests {
         let merged = reg.merged_histogram("lat");
         assert_eq!(merged.count(), 2);
         assert_eq!(merged.max(), SimDuration::from_micros(20));
+    }
+
+    #[test]
+    fn registered_handle_is_read_in_place_and_kept_once() {
+        let (reg, own) = (MetricsRegistry::new(), HistogramHandle::default());
+        own.record(SimDuration::from_micros(3));
+        reg.register_histogram("lat", &[], own.clone());
+        reg.register_histogram("lat", &[], own.clone());
+        own.record(SimDuration::from_micros(7));
+        let snap = reg.snapshot();
+        let counts: Vec<u64> = snap.histograms_iter().map(|h| h.2.count()).collect();
+        assert_eq!(counts, vec![2], "one entry, reading every sample");
+        assert_eq!(reg.histogram("lat", &[]).histogram().count(), 2);
     }
 
     #[test]

@@ -613,16 +613,6 @@ impl Tracer {
         }
     }
 
-    /// Returns `true` when the head-sampling policy keeps this trace
-    /// (always `true` on a disabled tracer's default policy — callers gate
-    /// on [`Tracer::is_enabled`] first).
-    pub fn head_keep(&self, req_id: u64) -> bool {
-        match &self.inner {
-            Some(inner) => inner.borrow().head_keep(req_id),
-            None => false,
-        }
-    }
-
     /// The ingress sampling decision: `true` when this request's spans
     /// should be recorded. Made once at request admission (gateway or
     /// direct cluster injection) and carried downstream in the payload's
@@ -1092,10 +1082,9 @@ mod tests {
         }
         let kept: Vec<u64> = t.records().iter().map(|r| r.req_id).collect();
         assert_eq!(kept, vec![0, 4]);
-        assert!(t.head_keep(4) && !t.head_keep(5));
         assert!(t.decide_sample(4) && !t.decide_sample(5));
         t.set_head_sample(0);
-        assert!(t.head_keep(5));
+        assert!(t.decide_sample(5));
     }
 
     #[test]
